@@ -19,21 +19,27 @@ import repro.core.PClass
   *  - (S) command  → `mapPartitions` with the shared per-line kernel
   *    (parallel across however many chunk-partitions feed it);
   *  - `cat`        → `union` (partition concatenation, order-preserving);
-  *  - (P)/(N) node → order-preserving gather to one partition (a real
-  *    shuffle, i.e. a stage boundary — Spark's analogue of PaSh's single
-  *    aggregator process) + whole-stream kernel;
+  *  - (P)/(N) node → whole-stream kernel in ONE task over its inputs
+  *    (Spark's analogue of PaSh's single aggregator process);
   *  - map replica  → whole-stream kernel over its chunk;
-  *  - aggregate    → gather both inputs, merge with the shared aggregator;
-  *  - `split`      → count + contiguous index ranges over a cached input
+  *  - aggregate    → one n-ary merge task over the leaves of the maximal
+  *    same-key aggregate tree;
+  *  - `split`      → one job caches the input and counts its lines, then
+  *    each output reads only its contiguous slice of the cached blocks
   *    (faithful to PaSh's line-counting split, which also consumes its
   *    whole input before dispersing it);
   *  - relay        → identity (Spark tasks have no shell laziness; the
   *    eager/blocking distinction is studied on the discrete-event
   *    simulator instead — DESIGN.md).
   *
+  * Stage boundaries cache each partition as ONE `Array[String]` block
+  * (`MEMORY_AND_DISK`) and compute the cached streams in ONE parallel job,
+  * so each chunk's upstream kernel chain runs as its own task. A gathering
+  * task then reads the blocks in order, bucketed by stream index.
+  *
   * The *sequential baseline* is the untransformed DFG: every node sees a
-  * 1-partition stream, so the whole region collapses into a single-core
-  * task chain, like `sh` on one CPU.
+  * 1-partition stream, nothing is cached, and the whole region collapses
+  * into a single-core task chain, like `sh` on one CPU.
   */
 final class SparkExec(spark: SparkSession, store: Store) {
 
@@ -41,43 +47,34 @@ final class SparkExec(spark: SparkSession, store: Store) {
 
   private val persisted = collection.mutable.ListBuffer.empty[RDD[_]]
 
-  /** Stage boundary: cache the given streams and force them in ONE
-    * parallel job, so each chunk's upstream kernel chain runs as its own
-    * task; downstream narrow consumers then read the in-process cache
-    * (deserialized, zero-copy in local mode — cheaper than a shuffle). */
-  private def materialize(streams: List[RDD[String]]): List[RDD[String]] = {
-    val cached = streams.map(_.persist(StorageLevel.MEMORY_AND_DISK))
-    persisted ++= cached
-    (cached match {
-      case one :: Nil => one
-      case many       => sc.union(many)
-    }).count()
-    cached
+  /** Each partition of `s` as ONE array, cached if `cache`: Spark's
+    * MemoryStore then holds one object per partition instead of unrolling
+    * line by line. */
+  private def blocksOf(s: RDD[String], cache: Boolean): RDD[Array[String]] = {
+    val b = s.mapPartitions(it => Iterator.single(it.toArray), preservesPartitioning = true)
+    if (cache) persisted += b.persist(StorageLevel.MEMORY_AND_DISK)
+    b
   }
 
-  /** Order-preserving gather of a multi-partition stream into one task's
-    * iterator: parallel materialization + narrow in-order coalesce. */
-  private def gather(rdd: RDD[String]): RDD[String] =
-    if (rdd.getNumPartitions <= 1) rdd
-    else materialize(List(rdd)).head.coalesce(1)
-
-  /** Materialize an edge inside a single task (inputs are already 1-part). */
-  private def wholeKernel(r: repro.core.Annotations.Resolved, ctx: Ctx,
-                          streams: List[RDD[String]]): RDD[String] = {
-    val gathered = streams.map(gather)
-    val tagged = gathered.zipWithIndex.map { case (s, i) =>
-      s.mapPartitions(it => it.map((i, _)), preservesPartitioning = true)
-    }
-    val one = tagged match {
-      case Nil      => sc.parallelize(Seq.empty[(Int, String)], 1)
-      case x :: Nil => x
-      case many     => sc.union(many).coalesce(1)
-    }
+  /** Run `f` in ONE task over the ordered `streams`. Multi-partition
+    * streams (every stream if `cacheAll`) are cached and computed first in
+    * ONE parallel job; the rest run inside the task's own chain. A lone
+    * uncached stream already is one task's chain, so it needs no blocks. */
+  private def inOneTask(streams: List[RDD[String]], cacheAll: Boolean)
+                       (f: List[Vector[String]] => Vector[String]): RDD[String] = {
+    if (!cacheAll && streams.size == 1 && streams.head.getNumPartitions == 1)
+      return streams.head.mapPartitions(it => f(List(it.toVector)).iterator)
+    val blocks = streams.map(s => blocksOf(s, cacheAll || s.getNumPartitions > 1))
+    val cached = blocks.filter(_.getStorageLevel != StorageLevel.NONE)
+    if (cached.nonEmpty) sc.union(cached).count()
     val nStreams = streams.size
+    val tagged = blocks.zipWithIndex.map { case (b, i) => b.map((i, _)) }
+    val one = if (tagged.isEmpty) sc.parallelize(Seq.empty[(Int, Array[String])], 1)
+              else sc.union(tagged).coalesce(1)
     one.mapPartitions { it =>
       val buckets = Array.fill(nStreams)(Vector.newBuilder[String])
-      it.foreach { case (i, l) => buckets(i) += l }
-      Kernels.whole(r)(ctx)(buckets.map(_.result()).toList).iterator
+      it.foreach { case (i, b) => buckets(i) ++= b }
+      f(buckets.map(_.result()).toList).iterator
     }
   }
 
@@ -137,8 +134,8 @@ final class SparkExec(spark: SparkSession, store: Store) {
                 Kernels.whole(r)(ctx)(List(it.toVector)).iterator
               }, preservesPartitioning = true))
           }
-        case CmdOp(r) => Vector(wholeKernel(r, ctx, streams))
-        case MapOp(r) => Vector(wholeKernel(r, ctx, streams))
+        case CmdOp(r) => Vector(inOneTask(streams, cacheAll = false)(Kernels.whole(r)(ctx)(_)))
+        case MapOp(r) => Vector(inOneTask(streams, cacheAll = false)(Kernels.whole(r)(ctx)(_)))
         case AggOp(_, _) if internalAggs.contains(n.id) =>
           Vector(null) // folded into the tree root's n-ary merge
 
@@ -151,27 +148,24 @@ final class SparkExec(spark: SparkSession, store: Store) {
             case Some(p @ DNode(_, AggOp(k2, _), _, _)) if k2 == key => leavesOf(p)
             case _ => Vector(e)
           }
-          val leafEdges = leavesOf(n)
-          // one parallel job materializes every map replica, then a single
-          // narrow task runs the n-ary merge over the cached chunks
-          val cached = materialize(leafEdges.toList.map(e => edgeIn(g.edges(e))))
-          val tagged = cached.zipWithIndex.map { case (s, i) => s.map((i, _)) }
-          val nLeaves = leafEdges.size
-          Vector(sc.union(tagged).coalesce(1).mapPartitions { it =>
-            val buckets = Array.fill(nLeaves)(Vector.newBuilder[String])
-            it.foreach { case (i, l) => buckets(i) += l }
-            Kernels.aggN(key, r, buckets.map(_.result()).toList).iterator
-          })
+          // every map replica must be computed in the one parallel job: left
+          // to the merge task, they would run one after another inside it
+          val leaves = leavesOf(n).toList.map(e => edgeIn(g.edges(e)))
+          Vector(inOneTask(leaves, cacheAll = true)(Kernels.aggN(key, r, _)))
         case SplitOp(w) =>
-          // PaSh's split counts lines first, then disperses contiguously
-          val zipped = streams.head.zipWithIndex()
-            .persist(StorageLevel.MEMORY_AND_DISK)
-          persisted += zipped
-          val n0 = zipped.count()
+          // PaSh's split counts lines first: one job caches the input and
+          // collects its block sizes; output i reads only lines [lo, hi)
+          val in     = blocksOf(streams.head, cache = true)
+          val starts = in.map(_.length.toLong).collect().scanLeft(0L)(_ + _)
+          val n0     = starts.last
           Vector.tabulate(w) { i =>
             val lo = n0 * i / w
             val hi = n0 * (i + 1) / w
-            zipped.filter { case (_, idx) => idx >= lo && idx < hi }.map(_._1)
+            in.mapPartitionsWithIndex({ (p, it) =>
+              val b = it.next()
+              Iterator.range((lo - starts(p)).max(0L).toInt,
+                             (hi - starts(p)).min(b.length.toLong).toInt).map(b(_))
+            }, preservesPartitioning = true)
           }
         case CatOp =>
           Vector(streams match {
@@ -196,15 +190,14 @@ final class SparkExec(spark: SparkSession, store: Store) {
   }
 
   /** Run one region and collect results (order = partition order). */
-  def run(g: Graph): RefExec.Out = {
-    val (stdouts, sinks) = eval(g)
-    val out = RefExec.Out(
-      stdouts.flatMap(_.collect()).toVector,
-      sinks.map { case (f, r) => f -> r.collect().toVector },
-    )
-    releaseCaches()
-    out
-  }
+  def run(g: Graph): RefExec.Out =
+    try {
+      val (stdouts, sinks) = eval(g)
+      RefExec.Out(
+        stdouts.flatMap(_.collect()).toVector,
+        sinks.map { case (f, r) => f -> r.collect().toVector },
+      )
+    } finally releaseCaches()
 
   /** Run a program region-by-region; sinks feed later regions via store. */
   def runProgram(regions: List[Graph]): RefExec.Out = {

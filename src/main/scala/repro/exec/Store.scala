@@ -72,21 +72,23 @@ final class Store(@transient private val sc: SparkContext) {
     sc.range(0L, f.n, 1L, math.max(1, parts)).map(f.gen)
   }
 
+  /** Line range `[lo, hi)` of chunk `i` of `of`, shared by both chunked reads. */
+  private def chunk(f: GenFile, i: Int, of: Int): (Long, Long) =
+    (f.n * i / of, f.n * (i + 1) / of)
+
   /** Chunk `i` of `of` as a true single-partition RDD (parallel chunked
     * file read — boundaries match [[fetchPart]] exactly). */
   def rddPart(name: String, i: Int, of: Int): RDD[String] = {
-    val f  = lookup(name)
-    val lo = f.n * i / of
-    val hi = f.n * (i + 1) / of
+    val f        = lookup(name)
+    val (lo, hi) = chunk(f, i, of)
     sc.range(lo, hi, 1L, 1).map(f.gen)
   }
 
-  /** Contiguous line chunk for the reference executor. */
+  /** Contiguous line chunk for the reference executor; generates only its
+    * own lines. */
   def fetchPart(name: String, i: Int, of: Int): Vector[String] = {
-    val v  = fetch(name)
-    val n  = v.size.toLong
-    val lo = (n * i / of).toInt
-    val hi = (n * (i + 1) / of).toInt
-    v.slice(lo, hi)
+    val f        = lookup(name)
+    val (lo, hi) = chunk(f, i, of)
+    Vector.tabulate((hi - lo).toInt)(k => f.gen(lo + k))
   }
 }

@@ -1,7 +1,7 @@
 package repro.exec
 
 import repro.SparkSpec
-import repro.bench.Scripts
+import repro.bench.{Scripts, SynthText}
 import repro.bench.Scripts.ScriptBench
 import repro.core.{Frontend, Transform}
 import repro.core.Transform.PashConfig
@@ -19,14 +19,19 @@ class SparkExecSpec extends SparkSpec {
     val s = new Store(spark.sparkContext); b.setup(s, scale); s
   }
 
-  private def check(b: ScriptBench, widths: List[Int], scale: Int = 2): Unit = {
+  /** `setup` overrides the script's own input registration (tiny inputs). */
+  private def check(b: ScriptBench, widths: List[Int], scale: Int = 2,
+                    setup: Option[Store => Unit] = None): Unit = {
+    def store() = setup.fold(freshStore(b, scale)) { f =>
+      val s = new Store(spark.sparkContext); f(s); s
+    }
     val regions = Frontend.compile(b.script).regions
-    val golden  = RefExec.runProgram(regions, freshStore(b, scale))
-    val sparkSeq = new SparkExec(spark, freshStore(b, scale)).runProgram(regions)
+    val golden  = RefExec.runProgram(regions, store())
+    val sparkSeq = new SparkExec(spark, store()).runProgram(regions)
     assert(sparkSeq.stdout == golden.stdout, s"${b.name}: spark sequential stdout differs")
     assert(sparkSeq.files == golden.files, s"${b.name}: spark sequential sinks differ")
     widths.foreach { w =>
-      val sparkPar = new SparkExec(spark, freshStore(b, scale))
+      val sparkPar = new SparkExec(spark, store())
         .runProgram(regions.map(Transform.parallelize(_, PashConfig(w))))
       assert(sparkPar.stdout == golden.stdout, s"${b.name} width=$w: stdout differs")
       assert(sparkPar.files == golden.files, s"${b.name} width=$w: sinks differ")
@@ -58,6 +63,29 @@ class SparkExecSpec extends SparkSpec {
     check(Scripts.bio, List(2, 4))
   }
 
+  // (P) after (P): a split re-chunks each merged stream by line slices
+  List(Scripts.sortSort, Scripts.wf, Scripts.topN, Scripts.unix50(19)).foreach { b =>
+    test(s"spark ${b.name} (P after P): parallel == sequential == reference at widths 3, 7") {
+      check(b, List(3, 7))
+    }
+  }
+  test("spark sort-sort with fewer lines than the width (empty split slices)") {
+    check(Scripts.sortSort, List(7),
+      setup = Some(_.add("in.txt", 3, SynthText.textLine(21))))
+  }
+  test("spark top-n on an empty input") {
+    check(Scripts.topN, List(3, 7), setup = Some(_.add("in.txt", 0, SynthText.textLine(13))))
+  }
+
+  test("a region that fails mid-job leaves no cached RDDs behind") {
+    val s = new Store(spark.sparkContext)
+    s.add("in.txt", 100, i => if (i == 99) sys.error("unreadable line") else s"line-$i")
+    val regions = Frontend.compile(Scripts.sortOne.script).regions
+      .map(Transform.parallelize(_, PashConfig(4)))
+    intercept[Exception](new SparkExec(spark, s).runProgram(regions))
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+  }
+
   test("spark naive chunk-and-concat corrupts wf (§6.5 GNU-parallel misuse)") {
     val b = Scripts.wf
     val regions = Frontend.compile(b.script).regions
@@ -76,5 +104,10 @@ class SparkExecSpec extends SparkSpec {
     val whole = s.rdd("f", 1).collect().toVector
     val parts = (0 until 7).flatMap(i => s.rddPart("f", i, 7).collect()).toVector
     assert(parts == whole)
+    var generated = 0
+    s.add("g", 1000, { i => generated += 1; s"line-$i" })
+    val chunks = (0 until 7).flatMap(i => s.fetchPart("g", i, 7)).toVector
+    assert(generated == 1000, "fetchPart must generate only its own lines")
+    assert(chunks == s.fetch("g") && chunks == whole)
   }
 }
