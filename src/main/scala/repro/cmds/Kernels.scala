@@ -564,8 +564,10 @@ object Kernels extends Serializable {
       }
   }
 
-  private def concat(ss: List[Vector[String]]): Vector[String] =
-    ss.foldLeft(Vector.empty[String])(_ ++ _)
+  private def concat(ss: List[Vector[String]]): Vector[String] = ss match {
+    case v :: Nil => v
+    case _        => ss.iterator.flatten.toVector
+  }
 
   /** Two-stream commands: statics come first (annotation order). */
   private def twoStreams(r: Resolved, ctx: Ctx,
@@ -583,93 +585,23 @@ object Kernels extends Serializable {
 
   // ========================================================= aggregators
 
-  /** Pairwise aggregate functions (§5 "Aggregator Implementations").
-    * Each satisfies `agg(f(x), f(y)) == f(x ++ y)` for its command `f`
-    * (checked property-style in the test suite). */
-  def aggPair(key: String, r: Resolved): (Vector[String], Vector[String]) => Vector[String] =
-    key match {
-      case "sort-m" =>
-        val ord    = sortOrdering(r)
-        val unique = r.flags.contains("-u")
-        (a, b) => {
-          val out = Vector.newBuilder[String]
-          var i = 0
-          var j = 0
-          var last: Option[String] = None
-          def push(l: String): Unit =
-            if (!unique || !last.exists(ord.compare(_, l) == 0)) { out += l; last = Some(l) }
-          while (i < a.size || j < b.size) {
-            if (j >= b.size || (i < a.size && ord.compare(a(i), b(j)) <= 0)) {
-              push(a(i)); i += 1
-            } else { push(b(j)); j += 1 }
-          }
-          out.result()
-        }
-      case "uniq" =>
-        (a, b) =>
-          if (a.nonEmpty && b.nonEmpty && a.last == b.head) a ++ b.tail
-          else a ++ b
-      case "uniq-c" =>
-        (a, b) => {
-          if (a.isEmpty) b
-          else if (b.isEmpty) a
-          else {
-            val (ca, la) = parseUniqC(a.last)
-            val (cb, lb) = parseUniqC(b.head)
-            if (la == lb)
-              (a.init :+ UniqCountFmt.format(ca + cb, la)) ++ b.tail
-            else a ++ b
-          }
-        }
-      case "wc" =>
-        (a, b) => {
-          val xs = a.head.trim.split("\\s+").map(_.toLong)
-          val ys = b.head.trim.split("\\s+").map(_.toLong)
-          Vector(xs.zip(ys).map { case (x, y) => x + y }.mkString(" "))
-        }
-      case "sum" =>
-        (a, b) => Vector((a.head.trim.toLong + b.head.trim.toLong).toString)
-      case "head" =>
-        (a, b) => (a ++ b).take(headCount(r))
-      case "tail" =>
-        (a, b) => tailSpec(r) match {
-          case Left(k) => (a ++ b).takeRight(k)
-          case Right(_) =>
-            throw new IllegalArgumentException("tail -n +K has no aggregator")
-        }
-      case "tac" =>
-        (a, b) => b ++ a
-      case other =>
-        throw new IllegalArgumentException(s"unknown aggregator: $other")
-    }
+  private val NoCtx = Ctx(Nil, _ => Vector.empty)
 
-  /** N-ary aggregate over the ordered partial outputs of a parallelized
-    * (P) command. Semantically `parts.reduceLeft(aggPair)` (aggregators
-    * are associative — tested), but with fast paths so a single aggregator
-    * task is one pass over the data instead of a cascade of pairwise
-    * merges: `sort -m` exploits Timsort's run detection on concatenated
-    * sorted runs; `uniq`/`uniq -c` fix chunk boundaries in a linear scan.
+  /** Aggregate the ordered partial outputs of a parallelized (P) command
+    * (§5 "Aggregator Implementations"). Each aggregator satisfies
+    * `aggN(key, r, parts.map(f)) == f(parts.flatten)` for its command `f`
+    * (checked property-style in the test suite), so a whole aggregate tree
+    * is one call over its leaves. `sort -m`, `uniq`, `head` and `tail` rerun
+    * their command on the concatenated parts, since `f(f(x)·f(y)) == f(x·y)`;
+    * `sort` is Timsort, whose run detection makes that a merge of sorted runs.
     */
   def aggN(key: String, r: Resolved, parts: List[Vector[String]]): Vector[String] =
     key match {
-      case _ if parts.isEmpty     => Vector.empty
-      case _ if parts.sizeIs == 1 => parts.head
-      case "sort-m" =>
-        val ord    = sortOrdering(r)
-        val merged = parts.toVector.flatten.sorted(ord)
-        if (!r.flags.contains("-u")) merged
-        else merged.foldLeft(Vector.empty[String]) { (acc, l) =>
-          if (acc.nonEmpty && ord.compare(acc.last, l) == 0) acc else acc :+ l
-        }
-      case "uniq" =>
-        val out = Vector.newBuilder[String]
-        var last: Option[String] = None
-        parts.foreach { p =>
-          val q = if (last.isDefined && p.headOption == last) p.tail else p
-          q.foreach(out += _)
-          if (p.nonEmpty) last = Some(p.last)
-        }
-        out.result()
+      case "sort-m" | "uniq" | "head" => whole(r)(NoCtx)(parts)
+      case "tail" => tailSpec(r) match {
+        case Left(_)  => whole(r)(NoCtx)(parts)
+        case Right(_) => throw new IllegalArgumentException("tail -n +K has no aggregator")
+      }
       case "uniq-c" =>
         // adjacent payloads are distinct within each part, so count merges
         // happen exactly at part boundaries — one linear scan suffices
@@ -680,14 +612,19 @@ object Kernels extends Serializable {
           prev match {
             case Some((cp, lp)) if lp == l => prev = Some((cp + c, l))
             case Some((cp, lp)) =>
-              out += "%7d %s".format(cp, lp); prev = Some((c, l))
+              out += UniqCountFmt.format(cp, lp); prev = Some((c, l))
             case None => prev = Some((c, l))
           }
         })
-        prev.foreach { case (c, l) => out += "%7d %s".format(c, l) }
+        prev.foreach { case (c, l) => out += UniqCountFmt.format(c, l) }
         out.result()
-      case "tac" => parts.reverse.toVector.flatten
-      case _     => parts.reduceLeft(aggPair(key, r))
+      case "wc" | "sum" =>
+        // one line of counts per part, summed column by column
+        parts.map(_.head.trim.split("\\s+").map(_.toLong))
+          .reduceOption((a, b) => a.zip(b).map { case (x, y) => x + y })
+          .map(_.mkString(" ")).toVector
+      case "tac" => concat(parts.reverse)
+      case other => throw new IllegalArgumentException(s"unknown aggregator: $other")
     }
 
   /** Parse a `uniq -c` output line into (count, payload). */

@@ -19,22 +19,19 @@ object Compiler {
   /** Compile `src` at the given width/config. `env0` seeds the static
     * environment (rarely needed — scripts usually set their own vars). */
   def pash(src: String, cfg: PashConfig,
-           env0: Map[String, String] = Map.empty): CompileResult = {
-    val t0       = System.nanoTime()
-    val compiled = Frontend.compile(src, env0)
-    val par      = compiled.regions.map(Transform.parallelize(_, cfg))
-    val script   = par.map(Backend.emit(_).script).mkString("\n")
-    val stats    = Backend.stats(par)
-    val ms       = (System.nanoTime() - t0) / 1e6
-    CompileResult(compiled.regions, par, script, stats, ms)
-  }
+           env0: Map[String, String] = Map.empty): CompileResult =
+    compile(src, cfg, env0, Transform.parallelize)
 
   /** The incorrect chunk-and-concat variant (§6.5 GNU-parallel misuse). */
   def naive(src: String, cfg: PashConfig,
-            env0: Map[String, String] = Map.empty): CompileResult = {
+            env0: Map[String, String] = Map.empty): CompileResult =
+    compile(src, cfg, env0, Transform.naiveParallel)
+
+  private def compile(src: String, cfg: PashConfig, env0: Map[String, String],
+                      transform: (Graph, PashConfig) => Graph): CompileResult = {
     val t0       = System.nanoTime()
     val compiled = Frontend.compile(src, env0)
-    val par      = compiled.regions.map(Transform.naiveParallel(_, cfg))
+    val par      = compiled.regions.map(transform(_, cfg))
     val script   = par.map(Backend.emit(_).script).mkString("\n")
     val stats    = Backend.stats(par)
     val ms       = (System.nanoTime() - t0) / 1e6

@@ -27,7 +27,8 @@ object Dfg {
   final case class CmdOp(r: Resolved) extends Op
   /** Map-phase replica of a parallelized (P) command (§4.3). */
   final case class MapOp(r: Resolved) extends Op
-  /** Aggregate node merging two partial outputs of a (P) command (§5). */
+  /** Aggregate node merging two partial outputs of a (P) command (§5);
+    * see [[Graph.aggTrees]] for how executors merge whole trees. */
   final case class AggOp(key: String, r: Resolved) extends Op
   /** Line-aware input splitter (§5 "Splitting Challenges"). */
   final case class SplitOp(ways: Int) extends Op
@@ -75,6 +76,26 @@ object Dfg {
       }
       require(seen == nodes.size, s"cycle in DFG: visited $seen of ${nodes.size}")
       out.result()
+    }
+
+    /** Leaf edges, in stream order, of each maximal same-key aggregate
+      * tree, keyed by the tree's root node. The transform builds binary
+      * trees with relays between levels; an executor may merge a whole tree
+      * in one n-ary aggregator call over these leaves. Relays are looked
+      * through, and internal aggregate nodes are not keys. */
+    def aggTrees: Map[Int, Vector[Int]] = {
+      val inner = collection.mutable.Set.empty[Int]
+      def leaves(e: Int, key: String): Vector[Int] = edges(e).from.map(nodes) match {
+        case Some(DNode(_, RelayOp(_, _), ins, _)) => leaves(ins.head, key)
+        case Some(DNode(id, AggOp(k, _), ins, _)) if k == key =>
+          inner += id
+          ins.flatMap(leaves(_, key))
+        case _ => Vector(e)
+      }
+      val trees = nodes.values.collect { case DNode(id, AggOp(key, _), ins, _) =>
+        id -> ins.flatMap(leaves(_, key))
+      }.toMap
+      trees -- inner
     }
 
     /** Node counts by operator kind — Tab. 2's #Nodes column. */
@@ -125,12 +146,6 @@ object Dfg {
 
     def setSink(edge: Int, file: String): Unit =
       edges(edge) = edges(edge).copy(sink = Some(file))
-    def setSrc(edge: Int, src: Src): Unit =
-      edges(edge) = edges(edge).copy(src = Some(src))
-
-    /** Rewire `edge` so that node `node` consumes it at position `pos`. */
-    def connectTo(edge: Int, node: Int): Unit =
-      edges(edge) = edges(edge).copy(to = Some(node))
 
     def result(): Graph = Graph(nodes.toMap, edges.toMap)
 

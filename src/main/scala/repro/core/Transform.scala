@@ -35,31 +35,45 @@ object Transform {
   /** Parallelize one region DFG. Semantics-preserving: (S) nodes replicate
     * per input chunk; (P) nodes become map replicas + aggregate tree; (N)
     * and (E) nodes are left sequential (cats upstream materialize). */
-  def parallelize(g: Graph, cfg: PashConfig): Graph = {
+  def parallelize(g: Graph, cfg: PashConfig): Graph = walk(g, cfg, naive = false)
+
+  /** Naive chunk-and-concat parallelization that (incorrectly) treats every
+    * pure command as stateless — models careless `gnu parallel` use (§6.5).
+    * Breaks semantics for (P)/(N) commands; used to *measure* the breakage. */
+  def naiveParallel(g: Graph, cfg: PashConfig): Graph = walk(g, cfg, naive = true)
+
+  private def walk(g: Graph, cfg: PashConfig, naive: Boolean): Graph = {
     if (cfg.width <= 1) return g
     val b = new Builder().load(g)
 
     // Walk original command nodes in topo order; replication introduces
     // new nodes that are themselves terminal (replicas never re-split).
-    val order = g.topo.map(_.id)
-    order.foreach { id =>
-      b.nodes.get(id).foreach { n =>
+    g.topo.foreach { n0 =>
+      b.nodes.get(n0.id).foreach { n =>
         n.op match {
-          case CmdOp(r) if r.cls == Stateless =>
-            withBundle(b, n, cfg).foreach { bundle =>
-              replicateStateless(b, n, r, bundle, cfg)
+          case CmdOp(r) =>
+            decide(r, naive).foreach { agg =>
+              withBundle(b, n, cfg).foreach(replicate(b, n, r, agg, _, cfg))
             }
-          case CmdOp(r) if r.cls == Pure && r.agg.isDefined =>
-            withBundle(b, n, cfg).foreach { bundle =>
-              replicatePure(b, n, r, r.agg.get, bundle, cfg)
-            }
-          case _ => () // (N), (E), runtime nodes: sequential
+          case _ => () // runtime nodes
         }
       }
     }
-    insertCatEagers(b, cfg)
+    if (!naive) insertCatEagers(b, cfg)
     b.result()
   }
+
+  /** How a command is parallelized: `None` leaves it sequential ((N), (E),
+    * (P) without an aggregator); `Some(None)` replicates it and concatenates
+    * the replicas; `Some(Some(key))` feeds map replicas into a `key`
+    * aggregate tree. Naive replicates every non-(E) command as stateless. */
+  private def decide(r: Annotations.Resolved, naive: Boolean): Option[Option[String]] =
+    if (naive) Option.when(r.cls != SideEffectful)(None)
+    else r.cls match {
+      case Stateless               => Some(None)
+      case Pure if r.agg.isDefined => Some(r.agg)
+      case _                       => None
+    }
 
   /** §5 "Overcoming Laziness": a surviving cat merge node reads its inputs
     * in order, so producers of inputs 2..n block on 64 KiB FIFOs and the
@@ -70,35 +84,11 @@ object Transform {
     val cats = b.nodes.values.filter(n => n.op == CatOp && n.ins.size >= 2).toList
     cats.foreach { cat =>
       val newIns = cat.ins.zipWithIndex.map { case (e, i) =>
-        if (i == 0) e
-        else {
-          val relayed = relay(b, e, cfg)
-          relayed
-        }
+        if (i == 0) e else relay(b, e, cfg)
       }
       b.nodes(cat.id) = b.nodes(cat.id).copy(ins = newIns)
       newIns.foreach(e => b.edges(e) = b.edges(e).copy(to = Some(cat.id)))
     }
-  }
-
-  /** Naive chunk-and-concat parallelization that (incorrectly) treats every
-    * pure command as stateless — models careless `gnu parallel` use (§6.5).
-    * Breaks semantics for (P)/(N) commands; used to *measure* the breakage. */
-  def naiveParallel(g: Graph, cfg: PashConfig): Graph = {
-    if (cfg.width <= 1) return g
-    val b = new Builder().load(g)
-    g.topo.map(_.id).foreach { id =>
-      b.nodes.get(id).foreach { n =>
-        n.op match {
-          case CmdOp(r) if r.cls != SideEffectful =>
-            withBundle(b, n, cfg).foreach { bundle =>
-              replicateStateless(b, n, r, bundle, cfg)
-            }
-          case _ => ()
-        }
-      }
-    }
-    b.result()
   }
 
   // ------------------------------------------------------------ internals
@@ -162,33 +152,28 @@ object Transform {
     srcs
   }
 
-  private def replicateStateless(b: Builder, n: DNode, r: Annotations.Resolved,
-                                 bundle: Vector[Int], cfg: PashConfig): Unit = {
+  /** Replace `n` with one replica per bundle edge: (S) replicas joined by
+    * the commuted cat, or (P) map replicas feeding an `agg` tree. */
+  private def replicate(b: Builder, n: DNode, r: Annotations.Resolved,
+                        agg: Option[String], bundle: Vector[Int],
+                        cfg: PashConfig): Unit = {
     val outEdge    = n.outs.head
     val staticSrcs = takeStatics(b, n)
     b.removeNode(n.id)
     val partials = bundle.map { be =>
       val o = b.freshEdge()
       val statics = staticSrcs.map(s => b.freshEdge(s, static = true))
-      b.addNode(CmdOp(r), statics :+ be, Vector(o))
+      b.addNode(if (agg.isEmpty) CmdOp(r) else MapOp(r), statics :+ be, Vector(o))
       o
     }
-    // commuted cat concatenates partial outputs into the original out edge
-    b.addNode(CatOp, partials, Vector(outEdge))
+    agg match {
+      case None      => b.addNode(CatOp, partials, Vector(outEdge))
+      case Some(key) => aggTree(b, r, key, partials, outEdge, cfg)
+    }
   }
 
-  private def replicatePure(b: Builder, n: DNode, r: Annotations.Resolved,
-                            aggKey: String, bundle: Vector[Int],
-                            cfg: PashConfig): Unit = {
-    val outEdge    = n.outs.head
-    val staticSrcs = takeStatics(b, n)
-    b.removeNode(n.id)
-    val partials = bundle.map { be =>
-      val o = b.freshEdge()
-      val statics = staticSrcs.map(s => b.freshEdge(s, static = true))
-      b.addNode(MapOp(r), statics :+ be, Vector(o))
-      o
-    }
+  private def aggTree(b: Builder, r: Annotations.Resolved, aggKey: String,
+                      partials: Vector[Int], outEdge: Int, cfg: PashConfig): Unit = {
     // binary aggregation tree; an eager relay on the *second* input of
     // every agg node keeps the producer that would otherwise block on a
     // full FIFO running (§5; matches Tab. 2's node-count shape)

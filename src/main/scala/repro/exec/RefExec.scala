@@ -35,9 +35,7 @@ object RefExec {
       val outs: Vector[Vector[String]] = n.op match {
         case CmdOp(r) => Vector(Kernels.whole(r)(ctx)(streams))
         case MapOp(r) => Vector(Kernels.whole(r)(ctx)(streams))
-        case AggOp(key, r) =>
-          require(streams.size == 2, s"agg expects 2 inputs, got ${streams.size}")
-          Vector(Kernels.aggPair(key, r)(streams(0), streams(1)))
+        case AggOp(key, r) => Vector(Kernels.aggN(key, r, streams))
         case SplitOp(w) =>
           val v = streams.head
           val len = v.size.toLong

@@ -90,23 +90,11 @@ final class SparkExec(spark: SparkSession, store: Store) {
     }
 
     // Maximal same-key aggregate trees are evaluated at their root as ONE
-    // n-ary merge task (aggregators are associative; Kernels.aggN) — the
-    // map replicas upstream become one parallel shuffle-map stage and the
-    // whole merge is a single pass instead of a cascade of pairwise
-    // merges. Internal tree aggs (and the relays wired between levels)
-    // are skipped.
-    def producerOf(e: Int): Option[DNode] = g.edges(e).from.map(g.nodes)
-    val internalAggs: Set[Int] = g.nodes.values.collect {
-      case DNode(_, AggOp(key, _), ins, _) =>
-        ins.flatMap { e0 =>
-          def chase(e: Int): Option[Int] = producerOf(e) match {
-            case Some(DNode(_, RelayOp(_, _), rins, _)) => chase(rins.head)
-            case Some(DNode(pid, AggOp(k2, _), _, _)) if k2 == key => Some(pid)
-            case _ => None
-          }
-          chase(e0)
-        }
-    }.flatten.toSet
+    // n-ary merge task (Kernels.aggN) — the map replicas upstream become
+    // one parallel stage and the whole merge is a single pass instead of a
+    // cascade of pairwise merges. Internal tree aggs (and the relays wired
+    // between levels) are skipped.
+    val aggTrees = g.aggTrees
 
     g.topo.foreach { n =>
       val inEdges = n.ins.map(g.edges)
@@ -136,22 +124,15 @@ final class SparkExec(spark: SparkSession, store: Store) {
           }
         case CmdOp(r) => Vector(inOneTask(streams, cacheAll = false)(Kernels.whole(r)(ctx)(_)))
         case MapOp(r) => Vector(inOneTask(streams, cacheAll = false)(Kernels.whole(r)(ctx)(_)))
-        case AggOp(_, _) if internalAggs.contains(n.id) =>
-          Vector(null) // folded into the tree root's n-ary merge
-
         case AggOp(key, r) =>
-          // in-order leaves of the maximal same-key aggregate tree
-          def leavesOf(node: DNode): Vector[Int] =
-            node.ins.filterNot(e => g.edges(e).static).flatMap(leafOf)
-          def leafOf(e: Int): Vector[Int] = producerOf(e) match {
-            case Some(DNode(_, RelayOp(_, _), rins, _)) => leafOf(rins.head)
-            case Some(p @ DNode(_, AggOp(k2, _), _, _)) if k2 == key => leavesOf(p)
-            case _ => Vector(e)
+          aggTrees.get(n.id) match {
+            case None => Vector(null) // folded into the tree root's n-ary merge
+            case Some(leafEdges) =>
+              // every map replica must be computed in the one parallel job:
+              // left to the merge task, they would run one after another in it
+              val leaves = leafEdges.toList.map(e => edgeIn(g.edges(e)))
+              Vector(inOneTask(leaves, cacheAll = true)(Kernels.aggN(key, r, _)))
           }
-          // every map replica must be computed in the one parallel job: left
-          // to the merge task, they would run one after another inside it
-          val leaves = leavesOf(n).toList.map(e => edgeIn(g.edges(e)))
-          Vector(inOneTask(leaves, cacheAll = true)(Kernels.aggN(key, r, _)))
         case SplitOp(w) =>
           // PaSh's split counts lines first: one job caches the input and
           // collects its block sizes; output i reads only lines [lo, hi)

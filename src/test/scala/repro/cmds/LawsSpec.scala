@@ -2,6 +2,7 @@ package repro.cmds
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.AnnotationLib
+import repro.core.Annotations.Resolved
 import repro.cmds.Kernels.Ctx
 import repro.bench.SynthText
 
@@ -10,6 +11,9 @@ import repro.bench.SynthText
   *
   *  - stateless:  f(x ++ y) == f(x) ++ f(y)          (semigroup homomorphism)
   *  - pure:       agg(m(x), m(y)) == f(x ++ y)       (map/aggregate pair)
+  *
+  * The pure law is also checked n-ary, as executors merge a whole aggregate
+  * tree in one `Kernels.aggN` call: aggN(m(x1), ..., m(xk)) == f(x1 ++ ... ++ xk).
   *
   * These are exactly the side conditions that make the parallelization
   * transform behaviour-preserving, so every annotated command must pass.
@@ -44,6 +48,27 @@ class LawsSpec extends AnyFunSuite {
     }
   }
 
+  /** 60 random streams (sorted if `sorted`), each cut into 1–5 ordered
+    * parts at random points (equal cut points give empty parts), plus
+    * fixed lists of empty parts. */
+  private def forAllPartLists(sorted: Boolean)(f: List[Vector[String]] => Unit): Unit = {
+    f(List(Vector.empty))
+    f(List(Vector.empty, Vector("x"), Vector.empty))
+    (1 to 60).foreach { seed =>
+      val s0 = randStream(seed * 7L)
+      val s  = if (sorted) s0.sorted else s0
+      val k  = 1 + (SynthText.mix(seed, -1) % 5).toInt.abs
+      val cuts = List.tabulate(k - 1)(i =>
+        (SynthText.mix(seed, -2 - i) % (s.size + 1)).toInt.abs).sorted
+      val bounds = 0 :: cuts ::: List(s.size)
+      f(bounds.zip(bounds.tail).map { case (a, b) => s.slice(a, b) })
+    }
+  }
+
+  /** The n-ary aggregator on two parts, as RefExec runs a binary agg node. */
+  private def agg2(key: String, r: Resolved)(x: Vector[String], y: Vector[String]) =
+    Kernels.aggN(key, r, List(x, y))
+
   private def checkStateless(name: String, args: List[String]): Unit =
     test(s"stateless law: $name ${args.mkString(" ")}") {
       val r = AnnotationLib.resolve(name, args)
@@ -58,12 +83,27 @@ class LawsSpec extends AnyFunSuite {
     test(s"map/aggregate law: $name ${args.mkString(" ")}") {
       val r = AnnotationLib.resolve(name, args)
       assert(r.cls == repro.core.PClass.Pure && r.agg.isDefined, s"$name must be (P)+agg")
-      val f   = Kernels.whole(r)(ctx)
-      val agg = Kernels.aggPair(r.agg.get, r)
+      val f = Kernels.whole(r)(ctx)
       forAllPairs { (x, y) =>
-        assert(agg(f(List(x)), f(List(y))) == f(List(x ++ y)))
+        assert(agg2(r.agg.get, r)(f(List(x)), f(List(y))) == f(List(x ++ y)))
       }
     }
+
+  /** Aggregator keys with an n-ary law below. */
+  private val nAryChecked = collection.mutable.Set.empty[String]
+
+  private def checkNAry(name: String, args: List[String], sorted: Boolean = false): Unit = {
+    val r = AnnotationLib.resolve(name, args)
+    r.agg.foreach(nAryChecked += _)
+    test(s"n-ary aggregate law: $name ${args.mkString(" ")}") {
+      assert(r.cls == repro.core.PClass.Pure && r.agg.isDefined, s"$name must be (P)+agg")
+      val f = Kernels.whole(r)(ctx)
+      forAllPartLists(sorted) { parts =>
+        val whole = f(List(parts.flatten.toVector))
+        assert(Kernels.aggN(r.agg.get, r, parts.map(p => f(List(p)))) == whole)
+      }
+    }
+  }
 
   // ---- stateless commands (f(x·y) = f(x)·f(y))
   checkStateless("cat", Nil)
@@ -118,7 +158,7 @@ class LawsSpec extends AnyFunSuite {
   test("map/aggregate law: uniq (sorted streams, all split points)") {
     val r   = AnnotationLib.resolve("uniq", Nil)
     val f   = Kernels.whole(r)(ctx)
-    val agg = Kernels.aggPair("uniq", r)
+    val agg = agg2("uniq", r) _
     (1 to 25).foreach { seed =>
       val s = randStream(seed.toLong).sorted
       (0 to s.size).foreach { cut =>
@@ -131,7 +171,7 @@ class LawsSpec extends AnyFunSuite {
   test("map/aggregate law: uniq -c (sorted streams, all split points)") {
     val r   = AnnotationLib.resolve("uniq", List("-c"))
     val f   = Kernels.whole(r)(ctx)
-    val agg = Kernels.aggPair("uniq-c", r)
+    val agg = agg2("uniq-c", r) _
     (1 to 25).foreach { seed =>
       val s = randStream(seed.toLong).sorted
       (0 to s.size).foreach { cut =>
@@ -144,12 +184,44 @@ class LawsSpec extends AnyFunSuite {
   test("aggregators are associative (sort-m over three chunks)") {
     val r   = AnnotationLib.resolve("sort", List("-n"))
     val f   = Kernels.whole(r)(ctx)
-    val agg = Kernels.aggPair("sort-m", r)
+    val agg = agg2("sort-m", r) _
     (1 to 30).foreach { s =>
       val (x, y, z) = (randStream(s * 3L), randStream(s * 3L + 1), randStream(s * 3L + 2))
       val l  = agg(agg(f(List(x)), f(List(y))), f(List(z)))
       val rr = agg(f(List(x)), agg(f(List(y)), f(List(z))))
       assert(l == rr && l == f(List(x ++ y ++ z)))
     }
+  }
+
+  // ---- n-ary aggregation: one aggN call over 1–5 parts
+  checkNAry("sort", Nil)
+  checkNAry("sort", List("-n"))
+  checkNAry("sort", List("-rn"))
+  checkNAry("sort", List("-u"))
+  checkNAry("sort", List("-rn", "-k", "2"))
+  checkNAry("uniq", Nil, sorted = true)
+  checkNAry("uniq", List("-c"), sorted = true)
+  checkNAry("wc", List("-l"))
+  checkNAry("wc", Nil)
+  checkNAry("head", List("-n", "5"))
+  checkNAry("tail", List("-n", "5"))
+  checkNAry("tac", Nil)
+  checkNAry("grep", List("-c", "the"))
+
+  test("every aggregator in the annotation library has an n-ary law and is accepted by aggN") {
+    val named = for {
+      a   <- AnnotationLib.records.values.toList
+      c   <- a.clauses
+      key <- c.agg
+    } yield (a.name, key)
+    assert(named.map(_._2).toSet == nAryChecked.toSet)
+    named.foreach { case (name, key) =>
+      val r = AnnotationLib.resolve(name, Nil)
+      assert(Kernels.aggN(key, r, List(Vector("1"), Vector("2"))).nonEmpty, key)
+    }
+    val r = AnnotationLib.resolve("sort", Nil)
+    intercept[IllegalArgumentException](Kernels.aggN("no-such-agg", r, List(Vector("1"))))
+    intercept[IllegalArgumentException](
+      Kernels.aggN("tail", AnnotationLib.resolve("tail", List("-n", "+2")), Nil))
   }
 }

@@ -129,6 +129,19 @@ class TransformSpec extends AnyFunSuite {
     }
   }
 
+  test("Tab. 2 #Nodes(16,64) of the ten one-liners") {
+    val expected = Map(
+      "nfa-regex" -> (64, 256), "sort" -> (78, 318), "top-n" -> (280, 1144),
+      "wf" -> (218, 890), "spell" -> (158, 638), "shortest-scripts" -> (188, 764),
+      "difference" -> (219, 891), "set-difference" -> (188, 764),
+      "bi-grams" -> (190, 766), "sort-sort" -> (140, 572))
+    val got = repro.bench.Scripts.oneLiners.map { b =>
+      def nodes(w: Int) = Compiler.pash(b.script, PashConfig(w)).stats.nodes
+      b.name -> (nodes(16), nodes(64))
+    }.toMap
+    assert(got == expected)
+  }
+
   test("naive transformation also replicates pure commands") {
     val g = Transform.naiveParallel(regions("cat f | sort").head, PashConfig(4))
     assert(count(g, "agg") == 0)        // no aggregators: plain concat
