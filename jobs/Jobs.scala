@@ -9,7 +9,6 @@ object JobSession {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("pash-repro")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer")
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")

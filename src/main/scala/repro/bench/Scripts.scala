@@ -17,17 +17,15 @@ object Scripts {
   final case class ScriptBench(
       name: String,
       script: String,
-      paperStructure: String,
       inputDesc: String,
       simFiles: Map[String, Double],           // file → MB at paper scale
       overrides: Map[String, Cost] = Map.empty,
       setup: (Store, Int) => Unit,
       volumeHintMB: Double = 0.0,
   ) {
-    def workload(cores: Int = 64): Workload = Workload(
+    def workload(): Workload = Workload(
       fileMB = n => simFiles.getOrElse(n, 0.05),
       overrides = overrides,
-      cores = cores,
       volumeHintMB = volumeHintMB,
     )
   }
@@ -42,7 +40,7 @@ object Scripts {
   val nfaRegex = ScriptBench(
     name  = "nfa-regex",
     script = """cat in.txt | tr A-Z a-z | grep -E "(th|t|h)+e" """,
-    paperStructure = "3×S", inputDesc = "1 GB",
+    inputDesc = "1 GB",
     simFiles = Map("in.txt" -> 1 * GB),
     overrides = Map("grep" -> Cost(3.0, sel = 0.4)), // backtracking NFA regex
     setup = (s, k) => addText(s, "in.txt", 1000L * k, 11),
@@ -51,7 +49,7 @@ object Scripts {
   val sortOne = ScriptBench(
     name  = "sort",
     script = "cat in.txt | tr A-Z a-z | sort",
-    paperStructure = "(S), (P)", inputDesc = "10 GB",
+    inputDesc = "10 GB",
     simFiles = Map("in.txt" -> 10 * GB),
     setup = (s, k) => addText(s, "in.txt", 1000L * k, 12),
   )
@@ -59,7 +57,7 @@ object Scripts {
   val topN = ScriptBench(
     name  = "top-n",
     script = """cat in.txt | tr -cs A-Za-z "\n" | tr A-Z a-z | sort | uniq -c | sort -rn | head -n 100""",
-    paperStructure = "2×(S), 4×(P)", inputDesc = "10 GB",
+    inputDesc = "10 GB",
     simFiles = Map("in.txt" -> 10 * GB),
     setup = (s, k) => addText(s, "in.txt", 1000L * k, 13),
   )
@@ -67,7 +65,7 @@ object Scripts {
   val wf = ScriptBench(
     name  = "wf",
     script = """cat in.txt | tr -cs A-Za-z "\n" | tr A-Z a-z | sort | uniq -c | sort -rn""",
-    paperStructure = "3×(S), 3×(P)", inputDesc = "10 GB",
+    inputDesc = "10 GB",
     simFiles = Map("in.txt" -> 10 * GB),
     setup = (s, k) => addText(s, "in.txt", 1000L * k, 14),
   )
@@ -75,7 +73,7 @@ object Scripts {
   val spell = ScriptBench(
     name  = "spell",
     script = """cat in.txt | col | tr -cs A-Za-z "\n" | tr A-Z a-z | sort -u | comm -13 dict.txt -""",
-    paperStructure = "4×(S), 3×(P)", inputDesc = "3 GB",
+    inputDesc = "3 GB",
     simFiles = Map("in.txt" -> 3 * GB, "dict.txt" -> 1.0),
     setup = (s, k) => {
       addText(s, "in.txt", 1000L * k, 15)
@@ -86,7 +84,7 @@ object Scripts {
   val shortestScripts = ScriptBench(
     name  = "shortest-scripts",
     script = """cat scripts.txt | xargs file | grep "shell script" | cut -d: -f1 | xargs -n 1 wc -l | sort -n | head -n 15""",
-    paperStructure = "5×(S), 2×(P)", inputDesc = "85 MB",
+    inputDesc = "85 MB",
     simFiles = Map("scripts.txt" -> 1.0),
     overrides = Map("xargs" -> Cost(40.0, sel = 42.0)), // reads the files
     volumeHintMB = 85.0,
@@ -102,7 +100,7 @@ object Scripts {
     script = """cat a.txt | tr A-Z a-z | sort > s1.txt
 cat b.txt | tr A-Z a-z | sort > s2.txt
 diff s1.txt s2.txt | head -n 10""",
-    paperStructure = "non-parallelizable diffing", inputDesc = "3 GB",
+    inputDesc = "3 GB",
     simFiles = Map("a.txt" -> 1.5 * GB, "b.txt" -> 1.5 * GB,
                    "s1.txt" -> 1.5 * GB, "s2.txt" -> 1.5 * GB),
     setup = (s, k) => { addText(s, "a.txt", 500L * k, 16); addText(s, "b.txt", 500L * k, 17) },
@@ -113,7 +111,7 @@ diff s1.txt s2.txt | head -n 10""",
     script = """cat a.txt | tr A-Z a-z | sort > sa.txt
 cat b.txt | tr A-Z a-z | sort > sb.txt
 comm -23 sa.txt sb.txt""",
-    paperStructure = "two pipelines merging to a comm", inputDesc = "10 GB",
+    inputDesc = "10 GB",
     simFiles = Map("a.txt" -> 5 * GB, "b.txt" -> 5 * GB,
                    "sa.txt" -> 5 * GB, "sb.txt" -> 5 * GB),
     setup = (s, k) => { addText(s, "a.txt", 500L * k, 18); addText(s, "b.txt", 500L * k, 19) },
@@ -124,7 +122,7 @@ comm -23 sa.txt sb.txt""",
     script = """cat in.txt | tr -cs A-Za-z "\n" | tr A-Z a-z > words.txt
 tail -n +2 words.txt > next.txt
 paste words.txt next.txt | sort | uniq""",
-    paperStructure = "stream shifting and merging", inputDesc = "10 GB",
+    inputDesc = "10 GB",
     simFiles = Map("in.txt" -> 10 * GB, "words.txt" -> 9 * GB, "next.txt" -> 9 * GB),
     setup = (s, k) => addText(s, "in.txt", 1000L * k, 20),
   )
@@ -132,7 +130,7 @@ paste words.txt next.txt | sort | uniq""",
   val sortSort = ScriptBench(
     name  = "sort-sort",
     script = "cat in.txt | tr A-Z a-z | sort | sort -r",
-    paperStructure = "parallelizable (P) after (P)", inputDesc = "10 GB",
+    inputDesc = "10 GB",
     simFiles = Map("in.txt" -> 10 * GB),
     setup = (s, k) => addText(s, "in.txt", 1000L * k, 21),
   )
@@ -184,7 +182,7 @@ paste words.txt next.txt | sort | uniq""",
       ScriptBench(
         name = f"unix50-${i + 1}%02d",
         script = p,
-        paperStructure = "unix50", inputDesc = "10 GB",
+        inputDesc = "10 GB",
         simFiles = Map("unix50.txt" -> 10 * GB, "dict.txt" -> 1.0),
         setup = (s, k) => {
           addText(s, "unix50.txt", 1000L * k, 22)
@@ -205,7 +203,7 @@ paste words.txt next.txt | sort | uniq""",
 for y in {2015..2019}; do
   curl $$base/$$y | grep gz | tr -s " " | cut -d " " -f 9 | sed "s;^;$$base/$$y/;" | xargs -n 1 curl -s | gunzip | cut -c 89-92 | grep -iv 999 | sort -rn | head -n 1 | sed "s/^/Maximum temperature for $$y is: /"
 done""",
-    paperStructure = "preprocess (download) + compute", inputDesc = "82 GB",
+    inputDesc = "82 GB",
     // per-year: index is tiny; downloads are ~16.4 GB/year compressed-ish
     simFiles = (2015 to 2019).map(y => s"$noaaBase/$y" -> 0.05).toMap,
     overrides = Map(
@@ -242,7 +240,7 @@ done""",
     name = "wikipedia",
     script =
       """cat urls.txt | xargs -n 1 curl -s | html-to-text | iconv -f utf-8 -t ascii | tr -cs A-Za-z "\n" | tr A-Z a-z | grep -vx the | word-stem | sort | uniq -c | sort -rn > index.txt""",
-    paperStructure = "34-stage indexing, multi-language stages", inputDesc = "1.3 GB (1% of Wikipedia)",
+    inputDesc = "1.3 GB (1% of Wikipedia)",
     simFiles = Map("urls.txt" -> 0.01),
     overrides = Map(
       "xargs" -> Cost(200.0, sel = 1.3 * 1024 / 0.01), // local page cache
@@ -268,7 +266,7 @@ done""",
     name = "bio",
     script =
       """cat reads.fastq | trim-adapter | quality-filter | sort | uniq -c | sort -rn | head -n 20""",
-    paperStructure = "cutadapt-dominated", inputDesc = "FASTQ reads",
+    inputDesc = "FASTQ reads",
     simFiles = Map("reads.fastq" -> 4 * GB),
     setup = (s, k) => s.add("reads.fastq", 1000L * k, SynthText.fastqLine(23)),
   )

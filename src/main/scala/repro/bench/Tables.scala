@@ -102,19 +102,21 @@ object Tables {
     "No Eager"      -> (w => PashConfig(w, split = false, eager = EagerOff)),
   )
 
+  /** The paper's width sweep, and the width of its single-width results. */
+  private val Widths = List(2, 4, 8, 16, 32, 64)
+  private val Width  = 16
+
   /** Simulated speedups for the one-liners across widths and runtime
     * configurations (the data behind Fig. 10 and S6.1's averages). */
-  def table61(widths: List[Int] = List(2, 4, 8, 16, 32, 64),
-              configs: List[(String, Int => PashConfig)] = LatticeConfigs)
-      : (String, Map[(String, String, Int), Double]) = {
+  def table61(): (String, Map[(String, String, Int), Double]) = {
     val results = collection.mutable.Map.empty[(String, String, Int), Double]
     val rows = for {
       b <- Scripts.oneLiners
       w0 = b.workload()
       seq = SimBuild.simulateScript(b.script, PashConfig(1), w0)
-      (cname, cfg) <- configs
+      (cname, cfg) <- LatticeConfigs
     } yield {
-      val cells = widths.map { w =>
+      val cells = Widths.map { w =>
         val t = SimBuild.simulateScript(b.script, cfg(w), w0)
         val s = seq / t
         results((b.name, cname, w)) = s
@@ -123,10 +125,10 @@ object Tables {
       Seq(b.name, cname, f"${seq}%8.1f") ++ cells
     }
     val text = "S6.1 - Simulated speedups over sequential (per width)\n" + fmt(
-      Seq("Script", "Config", "seq(s)") ++ widths.map(w => s"w=$w"), rows)
+      Seq("Script", "Config", "seq(s)") ++ Widths.map(w => s"w=$w"), rows)
 
-    val avgs = configs.map { case (cname, _) =>
-      Seq(cname) ++ widths.map { w =>
+    val avgs = LatticeConfigs.map { case (cname, _) =>
+      Seq(cname) ++ Widths.map { w =>
         val xs = Scripts.oneLiners.map(b => results((b.name, cname, w)))
         f"${xs.sum / xs.size}%6.2f"
       }
@@ -134,7 +136,7 @@ object Tables {
     val avgText = "\nS6.1 - Average speedup per width " +
       "(paper PaSh: 1.97 3.5 5.78 8.83 10.96 13.47; " +
       "paper No-Eager: 1.63 2.54 3.86 5.93 7.46 9.35)\n" +
-      fmt(Seq("Config") ++ widths.map(w => s"w=$w"), avgs)
+      fmt(Seq("Config") ++ Widths.map(w => s"w=$w"), avgs)
     (text + avgText, results.toMap)
   }
 
@@ -178,17 +180,17 @@ object Tables {
 
   // ------------------------------------------------------------- Unix50
 
-  def unix50Table(width: Int = 16): (String, List[(String, Double)]) = {
+  def unix50Table(): (String, List[(String, Double)]) = {
     val speedups = Scripts.unix50.map { b =>
       val w0  = b.workload()
       val seq = SimBuild.simulateScript(b.script, PashConfig(1), w0)
-      val par = SimBuild.simulateScript(b.script, PashConfig(width), w0)
+      val par = SimBuild.simulateScript(b.script, PashConfig(Width), w0)
       (b.name, seq / par, seq)
     }
     val sorted = speedups.sortBy(-_._2)
     val avg  = speedups.map(_._2).sum / speedups.size
     val wavg = speedups.map(s => s._2 * s._3).sum / speedups.map(_._3).sum
-    val text = s"S6.2 - Unix50 simulated speedups (width=$width, 10GB), " +
+    val text = s"S6.2 - Unix50 simulated speedups (width=$Width, 10GB), " +
       "descending (Fig. 11 data)\n" + fmt(
       Seq("Pipeline", "Speedup", "Seq(s)"),
       sorted.map { case (n, s, t) => Seq(n, f"$s%6.2f", f"$t%8.1f") }) +
@@ -199,12 +201,12 @@ object Tables {
   // --------------------------------------------------------------- NOAA
 
   /** S6.3: total/preprocess/compute speedups for the Fig. 2 script. */
-  def noaaTable(width: Int = 16): (String, (Double, Double, Double)) = {
+  def noaaTable(): (String, (Double, Double, Double)) = {
     val b  = Scripts.noaa
     val w0 = b.workload()
     def sp(script: String, wl: Workload): (Double, Double) = {
       val seq = SimBuild.simulateScript(script, PashConfig(1), wl)
-      val par = SimBuild.simulateScript(script, PashConfig(width), wl)
+      val par = SimBuild.simulateScript(script, PashConfig(Width), wl)
       (seq, seq / par)
     }
     val (seqT, total) = sp(b.script, w0)
@@ -220,10 +222,9 @@ done"""
       """cat year.dat | cut -c 89-92 | grep -iv 999 | sort -rn | head -n 1 | sed "s/^/max: /""""
     val compWl = Workload(
       fileMB = Map("year.dat" -> 16.4 * 1024).withDefaultValue(0.05),
-      overrides = Map("grep" -> PipeSim.Cost(120.0, sel = 0.9)),
-      netFile = _ => false)
+      overrides = Map("grep" -> PipeSim.Cost(120.0, sel = 0.9)))
     val (compSeq, compS) = sp(comp, compWl)
-    val text = "S6.3 - NOAA weather analysis (width=16)\n" + fmt(
+    val text = s"S6.3 - NOAA weather analysis (width=$Width)\n" + fmt(
       Seq("Phase", "seq(s)", "speedup", "paper"),
       Seq(
         Seq("total",      f"$seqT%8.1f", f"$total%5.2f", "2.52 (44m2s seq)"),
@@ -235,13 +236,13 @@ done"""
 
   // ---------------------------------------------------------- Wikipedia
 
-  def wikipediaTable(width: Int = 16): (String, Double) = {
+  def wikipediaTable(): (String, Double) = {
     val b  = Scripts.wikipedia
     val w0 = b.workload()
     val seq = SimBuild.simulateScript(b.script, PashConfig(1), w0)
-    val par = SimBuild.simulateScript(b.script, PashConfig(width), w0)
+    val par = SimBuild.simulateScript(b.script, PashConfig(Width), w0)
     val s = seq / par
-    val text = "S6.4 - Wikipedia indexing (width=16)\n" + fmt(
+    val text = s"S6.4 - Wikipedia indexing (width=$Width)\n" + fmt(
       Seq("Metric", "ours", "paper"),
       Seq(Seq("seq time", f"$seq%8.1f s", "191 min (1.3GB, 1% of Wikipedia)"),
           Seq("speedup",  f"$s%5.2f", "12.7")))
@@ -253,8 +254,7 @@ done"""
   /** PaSh-parallelized sort (sim) vs `sort --parallel` (Amdahl model with
     * a sequential input scan + final merge, consistent with the paper's
     * observation that sort's own scaling is inherently limited). */
-  def microSort(widths: List[Int] = List(2, 4, 8, 16, 32, 64))
-      : (String, Map[Int, (Double, Double, Double)]) = {
+  def microSort(): (String, Map[Int, (Double, Double, Double)]) = {
     val b  = Scripts.sortOne
     val w0 = b.workload()
     val seq = SimBuild.simulateScript(b.script, PashConfig(1), w0)
@@ -267,7 +267,7 @@ done"""
       val sortW = 10240.0 / 35.0 - scan      // parallelizable fraction base
       scan + sortW * ((1 - p) + p / k)
     }
-    val results = widths.map { w =>
+    val results = Widths.map { w =>
       val sp  = seq / SimBuild.simulateScript(b.script, PashConfig(w), w0)
       val spNe = seq / SimBuild.simulateScript(
         b.script, PashConfig(w, eager = EagerOff), w0)
@@ -276,7 +276,7 @@ done"""
     }.toMap
     val text = "S6.5 - PaSh sort (S_p) vs sort --parallel (S_g at 2xwidth)\n" + fmt(
       Seq("width", "S_p (PaSh)", "S_p no-eager", "S_g (--parallel)"),
-      widths.map { w =>
+      Widths.map { w =>
         val (a, b2, c) = results(w)
         Seq(w.toString, f"$a%6.2f", f"$b2%6.2f", f"$c%6.2f")
       }) + "\npaper: S_p-no-eager ~ S_g; S_p with eager ~ 2x S_g at high width"
@@ -286,17 +286,17 @@ done"""
   /** GNU-parallel comparison on the bio script: PaSh vs parallelizing only
     * the bottleneck stage vs naive (incorrect) chunking. The incorrectness
     * percentage is *measured* on Spark by `microGnuParallelDiff`. */
-  def microGnuParallel(width: Int = 16): (String, (Double, Double)) = {
+  def microGnuParallel(): (String, (Double, Double)) = {
     val b  = Scripts.bio
     val w0 = b.workload()
     val seq = SimBuild.simulateScript(b.script, PashConfig(1), w0)
-    val pash = SimBuild.simulateScript(b.script, PashConfig(width), w0)
+    val pash = SimBuild.simulateScript(b.script, PashConfig(Width), w0)
     // bottleneck-only: the user parallelizes cutadapt (trim-adapter) alone;
     // the rest of the pipeline stays sequential - analytic from the sim's
     // own cost model: trim dominates at 25 MB/s over 4 GB
     val trimSeq   = 4.0 * 1024 / 25.0
-    val bottleneck = seq - trimSeq + trimSeq / width
-    val text = "S6.5 - GNU parallel comparison (bio script, width=16)\n" + fmt(
+    val bottleneck = seq - trimSeq + trimSeq / Width
+    val text = s"S6.5 - GNU parallel comparison (bio script, width=$Width)\n" + fmt(
       Seq("Variant", "time(s)", "speedup", "paper"),
       Seq(
         Seq("sequential",       f"$seq%8.1f", "1.00", "554.8s"),
@@ -310,14 +310,15 @@ done"""
   }
 
   /** Measured output-corruption fraction of naive chunk-and-concat
-    * parallelization (GNU-parallel misuse) on the bio script, on Spark. */
-  def microGnuParallelDiff(spark: SparkSession, scale: Int = 4): (String, Double) = {
+    * parallelization (GNU-parallel misuse) on the bio script (4 thousand
+    * input lines), on Spark. */
+  def microGnuParallelDiff(spark: SparkSession): (String, Double) = {
     val b = Scripts.bio
     val regions = Frontend.compile(b.script).regions
-    def store() = { val s = new Store(spark.sparkContext); b.setup(s, scale); s }
+    def store() = { val s = new Store(spark.sparkContext); b.setup(s, 4); s }
     val good = RefExec.runProgram(regions, store())
     val bad  = new SparkExec(spark, store())
-      .runProgram(regions.map(Transform.naiveParallel(_, PashConfig(16))))
+      .runProgram(regions.map(Transform.naiveParallel(_, PashConfig(Width))))
     val n = math.max(good.stdout.size, bad.stdout.size)
     val differing = good.stdout.zipAll(bad.stdout, "∅", "∅")
       .count { case (a, c) => a != c }

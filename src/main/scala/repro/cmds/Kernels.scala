@@ -370,7 +370,7 @@ object Kernels extends Serializable {
   /** Per-line kernel for stateless commands; `None` if the command is not
     * per-line (the caller falls back to [[whole]]). */
   def stateless(r: Resolved): Option[Ctx => String => Seq[String]] = r.name match {
-    case "cat" | "curl" | "wget" | "gunzip-id" => Some(_ => l => Seq(l))
+    case "cat" | "curl" | "wget" => Some(_ => l => Seq(l))
     case "tr"    => Some(_ => trLine(r))
     case "grep" if !r.flags.contains("-c") && !r.flags.contains("-n") =>
       Some { _ =>

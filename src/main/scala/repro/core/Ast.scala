@@ -19,12 +19,6 @@ object Ast {
         val es = ps.map(_.expand(env))
         if (es.forall(_.isDefined)) Some(es.flatten.mkString) else None
     }
-    /** True if expansion needs no environment lookups. */
-    def isStatic: Boolean = this match {
-      case Lit(_)     => true
-      case VarRef(_)  => false
-      case Concat(ps) => ps.forall(_.isStatic)
-    }
   }
   final case class Lit(s: String)             extends Word
   final case class VarRef(name: String)       extends Word

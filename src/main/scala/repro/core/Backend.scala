@@ -47,8 +47,8 @@ object Backend {
           s"cat ${ins.mkString(" ")} | pash-split ${out.mkString(" ")}"
         case CatOp =>
           s"cat ${ins.mkString(" ")} > ${out.head}"
-        case RelayOp(eager, blocking) =>
-          val prim = if (eager) "eager" else if (blocking) "blocking-eager" else "relay"
+        case RelayOp(eager, _) =>
+          val prim = if (eager) "eager" else "blocking-eager"
           s"cat ${ins.mkString(" ")} | $prim > ${out.head}"
       }
       line + " &"

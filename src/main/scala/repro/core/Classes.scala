@@ -2,35 +2,24 @@ package repro.core
 
 /** Parallelizability classes (§3.1, Tab. 1).
   *
-  * Ordered by ascending difficulty of parallelization; `Stateless ⊂ Pure ⊂
-  * NonParallel` in the sense that any synchronization valid for a superclass
-  * is valid (if pessimal) for its subclasses.
+  * `all` lists them by ascending difficulty of parallelization;
+  * `Stateless ⊂ Pure ⊂ NonParallel` in the sense that any synchronization
+  * valid for a superclass is valid (if pessimal) for its subclasses.
   */
-sealed abstract class PClass(val symbol: String, val rank: Int) {
-  /** Data-parallelizable by PaSh's transformations? */
-  def parallelizable: Boolean = rank <= 1
-}
+sealed abstract class PClass(val symbol: String)
 
 object PClass {
   /** (S): pure per-line map/filter — commutes with concatenation. */
-  case object Stateless extends PClass("S", 0)
+  case object Stateless extends PClass("S")
 
   /** (P): pure with whole-pass state, parallelizable via map + aggregate. */
-  case object Pure extends PClass("P", 1)
+  case object Pure extends PClass("P")
 
   /** (N): pure but sequential state (e.g. sha1sum) — not parallelizable. */
-  case object NonParallel extends PClass("N", 2)
+  case object NonParallel extends PClass("N")
 
   /** (E): side-effectful across the system — never parallelized. */
-  case object SideEffectful extends PClass("E", 3)
+  case object SideEffectful extends PClass("E")
 
   val all: List[PClass] = List(Stateless, Pure, NonParallel, SideEffectful)
-
-  def fromString(s: String): PClass = s.toLowerCase match {
-    case "stateless" | "s"                 => Stateless
-    case "pure" | "parallelizable_pure" | "p" => Pure
-    case "non_parallelizable_pure" | "n"   => NonParallel
-    case "side-effectful" | "side_effectful" | "e" => SideEffectful
-    case other => throw new IllegalArgumentException(s"unknown class: $other")
-  }
 }

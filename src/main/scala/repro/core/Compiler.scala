@@ -16,21 +16,18 @@ object Compiler {
       compileMillis: Double,
   )
 
-  /** Compile `src` at the given width/config. `env0` seeds the static
-    * environment (rarely needed — scripts usually set their own vars). */
-  def pash(src: String, cfg: PashConfig,
-           env0: Map[String, String] = Map.empty): CompileResult =
-    compile(src, cfg, env0, Transform.parallelize)
+  /** Compile `src` at the given width/config. */
+  def pash(src: String, cfg: PashConfig): CompileResult =
+    compile(src, cfg, Transform.parallelize)
 
   /** The incorrect chunk-and-concat variant (§6.5 GNU-parallel misuse). */
-  def naive(src: String, cfg: PashConfig,
-            env0: Map[String, String] = Map.empty): CompileResult =
-    compile(src, cfg, env0, Transform.naiveParallel)
+  def naive(src: String, cfg: PashConfig): CompileResult =
+    compile(src, cfg, Transform.naiveParallel)
 
-  private def compile(src: String, cfg: PashConfig, env0: Map[String, String],
+  private def compile(src: String, cfg: PashConfig,
                       transform: (Graph, PashConfig) => Graph): CompileResult = {
     val t0       = System.nanoTime()
-    val compiled = Frontend.compile(src, env0)
+    val compiled = Frontend.compile(src)
     val par      = compiled.regions.map(transform(_, cfg))
     val script   = par.map(Backend.emit(_).script).mkString("\n")
     val stats    = Backend.stats(par)

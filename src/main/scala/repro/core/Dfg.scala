@@ -106,7 +106,7 @@ object Dfg {
         case _: AggOp   => "agg"
         case _: SplitOp => "split"
         case CatOp      => "cat"
-        case RelayOp(e, b) => if (e && !b) "eager" else if (b) "blocking" else "relay"
+        case RelayOp(e, _) => if (e) "eager" else "blocking"
       }).map { case (k, v) => k -> v.size }
   }
 

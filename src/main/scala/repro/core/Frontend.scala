@@ -20,8 +20,8 @@ object Frontend {
   /** A compiled program: dataflow regions in execution order. */
   final case class Compiled(regions: List[Graph])
 
-  def compile(src: String, env0: Map[String, String] = Map.empty): Compiled = {
-    val env     = collection.mutable.Map[String, String](env0.toSeq: _*)
+  def compile(src: String): Compiled = {
+    val env     = collection.mutable.Map.empty[String, String]
     val regions = List.newBuilder[Graph]
 
     def walk(node: Node): Unit = node match {
@@ -88,27 +88,18 @@ object Frontend {
           case StreamSpec.File(_, true) => false
           case _                        => true
         }
-        val streamEdges: Vector[Int] = {
-          val fromSpecs = streamSpecs.flatMap {
-            case StreamSpec.Std =>
-              prevOut match {
-                case Some(e) => List(e)
-                case None    =>
-                  redirIn match {
-                    case Some(f) => List(b.freshEdge(Some(SrcFile(f))))
-                    case None    => Nil // true source command (curl url…)
-                  }
-              }
-            case StreamSpec.File(f, _) => List(b.freshEdge(Some(SrcFile(f))))
-          }
-          // curl/echo-style sources name their target in operands
-          val withSource =
-            if (fromSpecs.isEmpty && r.operands.nonEmpty &&
-                (r.name == "curl" || r.name == "wget"))
-              List(b.freshEdge(Some(SrcFile(r.operands.head))))
-            else fromSpecs
-          withSource.toVector
-        }
+        val streamEdges: Vector[Int] = streamSpecs.flatMap {
+          case StreamSpec.Std =>
+            prevOut match {
+              case Some(e) => List(e)
+              case None    =>
+                redirIn match {
+                  case Some(f) => List(b.freshEdge(Some(SrcFile(f))))
+                  case None    => Nil // the script's own stdin: no input edge
+                }
+            }
+          case StreamSpec.File(f, _) => List(b.freshEdge(Some(SrcFile(f))))
+        }.toVector
 
         // t1: many streaming inputs → concatenate through a cat node first.
         val streaming: Vector[Int] =

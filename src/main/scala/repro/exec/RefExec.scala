@@ -60,13 +60,17 @@ object RefExec {
     Out(stdout.result(), sinks.result())
   }
 
-  /** Run a multi-region program in order; file sinks become store entries
-    * visible to later regions (temp-file idioms like bi-grams). */
-  def runProgram(regions: List[Graph], store: Store): Out = {
+  def runProgram(regions: List[Graph], store: Store): Out =
+    runRegions(regions, store)(run(_, store))
+
+  /** Run a multi-region program in order, each region with `run`; file
+    * sinks become store entries visible to later regions (temp-file idioms
+    * like bi-grams). Shared by both executors. */
+  def runRegions(regions: List[Graph], store: Store)(run: Graph => Out): Out = {
     val stdout = Vector.newBuilder[String]
     val files  = collection.mutable.Map.empty[String, Vector[String]]
     regions.foreach { g =>
-      val o = run(g, store)
+      val o = run(g)
       stdout ++= o.stdout
       o.files.foreach { case (f, v) => files(f) = v; store.addLines(f, v) }
     }

@@ -181,16 +181,8 @@ final class SparkExec(spark: SparkSession, store: Store) {
     } finally releaseCaches()
 
   /** Run a program region-by-region; sinks feed later regions via store. */
-  def runProgram(regions: List[Graph]): RefExec.Out = {
-    val stdout = Vector.newBuilder[String]
-    val files  = collection.mutable.Map.empty[String, Vector[String]]
-    regions.foreach { g =>
-      val o = run(g)
-      stdout ++= o.stdout
-      o.files.foreach { case (f, v) => files(f) = v; store.addLines(f, v) }
-    }
-    RefExec.Out(stdout.result(), files.toMap)
-  }
+  def runProgram(regions: List[Graph]): RefExec.Out =
+    RefExec.runRegions(regions, store)(run)
 
   private def releaseCaches(): Unit = {
     persisted.foreach(_.unpersist(blocking = false))

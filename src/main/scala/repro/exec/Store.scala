@@ -45,9 +45,6 @@ final class Store(@transient private val sc: SparkContext) {
       fallbacks.view.flatMap(_(name)).headOption.getOrElse(
         throw new IllegalArgumentException(s"store: no such file '$name'")))
 
-  def exists(name: String): Boolean =
-    files.contains(name) || fallbacks.exists(_(name).isDefined)
-
   /** Driver-side materialization (small inputs, statics, oracle checks). */
   def fetch(name: String): Vector[String] = {
     val f = lookup(name)
@@ -66,10 +63,10 @@ final class Store(@transient private val sc: SparkContext) {
     }
   }
 
-  /** The file as an ordered RDD with `parts` contiguous partitions. */
-  def rdd(name: String, parts: Int = 1): RDD[String] = {
+  /** The file as an ordered single-partition RDD. */
+  def rdd(name: String): RDD[String] = {
     val f = lookup(name)
-    sc.range(0L, f.n, 1L, math.max(1, parts)).map(f.gen)
+    sc.range(0L, f.n, 1L, 1).map(f.gen)
   }
 
   /** Line range `[lo, hi)` of chunk `i` of `of`, shared by both chunked reads. */

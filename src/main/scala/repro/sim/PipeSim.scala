@@ -44,10 +44,9 @@ object PipeSim {
       id: Int,
       label: String,
       ins: Vector[Int],   // channel ids, consumed in order unless interleaved
-      outs: Vector[Int],  // for multi-output blocking (split): emitted in order
+      outs: Vector[Int],  // for multi-output blocking (split): emitted in
+                          // order, an equal share each
       cost: Cost,
-      /** For multi-output blocking procs: share of output per channel. */
-      outShare: Vector[Double] = Vector.empty,
   )
 
   final case class Chan(id: Int, capMB: Double)
@@ -60,12 +59,16 @@ object PipeSim {
       producedMB: Map[Int, Double],
   )
 
+  /** Step limit of [[run]]: a network still running after it is reported
+    * as deadlocked. */
+  val MaxSteps = 400000
+
   /** Simulate to completion (or deadlock). `volumeHintMB` augments step
     * sizing for workloads whose bytes enter via amplification (a tiny URL
     * list expanding to GBs of downloads) rather than via source files. */
   def run(procs: Vector[Proc], chans: Vector[Chan], cores: Int,
           netMBs: Double = 125.0, pipeCleanup: Boolean = true,
-          maxSteps: Int = 400000, volumeHintMB: Double = 0.0): Result = {
+          volumeHintMB: Double = 0.0): Result = {
 
     val nP       = procs.size
     val buf      = Array.fill(chans.size)(0.0)
@@ -74,7 +77,6 @@ object PipeSim {
     val rDone    = Array.fill(chans.size)(false)
 
     val done     = Array.fill(nP)(false)
-    val dead     = Array.fill(nP)(false)
     val curIn    = Array.fill(nP)(0)
     val internal = Array.fill(nP)(0.0)
     val emitted  = Array.fill(nP)(0.0)
@@ -97,6 +99,26 @@ object PipeSim {
       p.ins.foreach(c => rDone(c) = true)
     }
 
+    /** Input bytes `p` can read now: ordered reads first skip the inputs
+      * at EOF; a source's input is what it has left to produce. */
+    def avail(p: Proc): Double = {
+      val id = p.id
+      if (!p.cost.interleaved) {
+        while (curIn(id) < p.ins.size && inputEof(p.ins(curIn(id))))
+          curIn(id) += 1
+      }
+      if (isSource(p)) p.cost.sel - produced(id)
+      else if (p.cost.interleaved) p.ins.map(buf).sum
+      else if (curIn(id) >= p.ins.size) 0.0
+      else buf(p.ins(curIn(id)))
+    }
+
+    /** The output a blocking emitter is writing; a split moves to the next
+      * output once it has emitted the current one's share. */
+    def emitChan(p: Proc): Int = p.outs(math.min(emitCur(p.id), p.outs.size - 1))
+    def shareEnd(p: Proc): Double =
+      Vector.fill(emitCur(p.id) + 1)(1.0 / p.outs.size).sum * totalOut(p)
+
     // step sizing: aim for a few thousand steps at the workload's scale
     val srcMB = math.max(volumeHintMB,
       procs.filter(isSource).map(_.cost.sel).sum).max(1.0)
@@ -111,18 +133,27 @@ object PipeSim {
       if (c0.isInfinity) c0 else math.max(c0, effCapFloor)
     }
 
+    /** An eager relay passes as much of its buffer as its output FIFO takes. */
+    def flush(p: Proc): Unit = if (p.outs.nonEmpty) {
+      val id = p.id
+      val oc = p.outs.head
+      val f = math.max(0.0, math.min(internal(id), cap(oc) - buf(oc)))
+      buf(oc) += f; internal(id) -= f; produced(id) += f
+    }
+
     var t = 0.0
     var step = 0
     var stalled = 0
 
-    while (step < maxSteps && !procs.forall(p => done(p.id))) {
+    def result(deadlocked: Boolean): Result =
+      Result(t, deadlocked, producedMB = procs.map(p => p.id -> produced(p.id)).toMap)
+
+    while (step < MaxSteps && !procs.forall(p => done(p.id))) {
       step += 1
 
       // ---- kill producers whose opened output lost its reader (PIPE)
       procs.foreach { p =>
-        if (!done(p.id) && p.outs.exists(c => rDone(c) && everRead(c))) {
-          dead(p.id) = true; procClosed(p)
-        }
+        if (!done(p.id) && p.outs.exists(c => rDone(c) && everRead(c))) procClosed(p)
       }
 
       // ---- per-step resource shares and budgets; only processes that can
@@ -130,19 +161,11 @@ object PipeSim {
       // an empty FIFO (the shell's laziness) sits idle, like a real `sh`
       def mayProgress(p: Proc): Boolean = {
         val id = p.id
-        if (!p.cost.interleaved) {
-          while (curIn(id) < p.ins.size && inputEof(p.ins(curIn(id))))
-            curIn(id) += 1
-        }
-        val avail =
-          if (isSource(p)) p.cost.sel - produced(id)
-          else if (p.cost.interleaved) p.ins.map(buf).sum
-          else if (curIn(id) >= p.ins.size) 0.0
-          else buf(p.ins(curIn(id)))
+        val av = avail(p)
         p.cost.kind match {
           case Blocking if emitting(p) => emitted(id) < totalOut(p) - 1e-9
-          case EagerRelay              => avail > 1e-12 || internal(id) > 1e-9
-          case _                       => avail > 1e-12
+          case EagerRelay              => av > 1e-12 || internal(id) > 1e-9
+          case _                       => av > 1e-12
         }
       }
       var cpuDemand = 0
@@ -177,18 +200,7 @@ object PipeSim {
           val id = p.id
           if (!done(id) && budget(id) > 1e-12) {
             val c = p.cost
-
-            // available input bytes under ordered-read semantics
-            if (!c.interleaved) {
-              while (curIn(id) < p.ins.size && inputEof(p.ins(curIn(id))))
-                curIn(id) += 1
-            }
-            val avail: Double =
-              if (isSource(p)) Double.PositiveInfinity
-              else if (c.interleaved) p.ins.map(buf).sum
-              else if (curIn(id) >= p.ins.size) 0.0
-              else buf(p.ins(curIn(id)))
-
+            val av = avail(p) // read below only by non-sources
             val isEmit = emitting(p)
             val outSpace: Double = c.kind match {
               case EagerRelay            => Double.PositiveInfinity
@@ -196,9 +208,7 @@ object PipeSim {
               case _ =>
                 if (p.outs.isEmpty) Double.PositiveInfinity
                 else {
-                  val oc = if (c.kind == Blocking)
-                             p.outs(math.min(emitCur(id), p.outs.size - 1))
-                           else p.outs.head
+                  val oc = if (c.kind == Blocking) emitChan(p) else p.outs.head
                   math.max(0.0, cap(oc) - buf(oc))
                 }
             }
@@ -208,17 +218,16 @@ object PipeSim {
                 // multi-output (split): emit stops at the chunk boundary so
                 // each output channel gets exactly its share, in order
                 val untilBoundary =
-                  if (p.outs.size > 1 && p.outShare.nonEmpty)
-                    p.outShare.take(emitCur(id) + 1).sum * totalOut(p) - emitted(id)
+                  if (p.outs.size > 1) shareEnd(p) - emitted(id)
                   else Double.PositiveInfinity
                 math.min(math.min(totalOut(p) - emitted(id), untilBoundary), outSpace)
-              case Blocking   => avail
-              case EagerRelay => math.max(avail, internal(id))
+              case Blocking   => av
+              case EagerRelay => math.max(av, internal(id))
               case Streaming if isSource(p) =>
                 // a source emits 1:1 from its remaining total (sel = MB)
                 math.min(c.sel - produced(id), outSpace)
               case Streaming  =>
-                math.min(avail,
+                math.min(av,
                   if (c.sel <= 1e-12) Double.PositiveInfinity else outSpace / c.sel)
             }
             // throughput binds on the larger of input/output volume, so an
@@ -247,25 +256,17 @@ object PipeSim {
               // produce
               c.kind match {
                 case Blocking if isEmit =>
-                  val oc = if (p.outs.isEmpty) -1
-                           else p.outs(math.min(emitCur(id), p.outs.size - 1))
-                  if (oc >= 0) buf(oc) += mv
+                  if (p.outs.nonEmpty) buf(emitChan(p)) += mv
                   emitted(id) += mv; produced(id) += mv
-                  if (p.outs.size > 1 && p.outShare.nonEmpty) {
-                    val boundary = p.outShare.take(emitCur(id) + 1).sum * totalOut(p)
-                    if (emitted(id) >= boundary - 1e-9 && emitCur(id) < p.outs.size - 1) {
-                      wClosed(p.outs(emitCur(id))) = true
-                      emitCur(id) += 1
-                    }
+                  if (p.outs.size > 1 && emitted(id) >= shareEnd(p) - 1e-9 &&
+                      emitCur(id) < p.outs.size - 1) {
+                    wClosed(p.outs(emitCur(id))) = true
+                    emitCur(id) += 1
                   }
                 case Blocking => internal(id) += mv // absorbing
                 case EagerRelay =>
                   internal(id) += mv
-                  if (p.outs.nonEmpty) {
-                    val oc = p.outs.head
-                    val f = math.max(0.0, math.min(internal(id), cap(oc) - buf(oc)))
-                    buf(oc) += f; internal(id) -= f; produced(id) += f
-                  }
+                  flush(p)
                 case Streaming =>
                   // a source's "consumption" is virtual: it produces mv*sel
                   // for non-sources, or mv directly for sources
@@ -292,11 +293,7 @@ object PipeSim {
             c.kind match {
               case Streaming if srcDone || eofIn => procClosed(p)
               case EagerRelay if eofIn =>
-                if (p.outs.nonEmpty) {
-                  val oc = p.outs.head
-                  val f = math.max(0.0, math.min(internal(id), cap(oc) - buf(oc)))
-                  buf(oc) += f; internal(id) -= f; produced(id) += f
-                }
+                flush(p)
                 if (internal(id) <= 1e-9) procClosed(p)
               case Blocking =>
                 val tot = totalOut(p)
@@ -312,16 +309,12 @@ object PipeSim {
       if (stepMoved <= 1e-12) stalled += 1 else stalled = 0
       if (stalled > 3 && !procs.forall(p => done(p.id))) {
         if (pipeCleanup && procs.exists(p => done(p.id))) {
-          procs.foreach(p => if (!done(p.id)) { dead(p.id) = true; procClosed(p) })
-        } else {
-          return Result(t, deadlocked = true,
-                        producedMB = procs.map(p => p.id -> produced(p.id)).toMap)
-        }
+          procs.foreach(p => if (!done(p.id)) procClosed(p))
+        } else return result(deadlocked = true)
       }
       t += dt
     }
 
-    Result(t, deadlocked = !procs.forall(p => done(p.id)),
-           producedMB = procs.map(p => p.id -> produced(p.id)).toMap)
+    result(deadlocked = !procs.forall(p => done(p.id)))
   }
 }

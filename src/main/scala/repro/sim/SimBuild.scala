@@ -10,36 +10,35 @@ import PipeSim._
   */
 object SimBuild {
 
-  /** Workload description: synthetic file sizes, which files are remote
-    * (shared 1 Gbps NIC), and per-command cost overrides for this script
-    * (e.g. the expensive backtracking regex of nfa-regex). */
+  /** Workload description: synthetic file sizes and per-command cost
+    * overrides for this script (e.g. the expensive backtracking regex of
+    * nfa-regex), on the paper's 64-core machine with a shared 1 Gbps NIC. */
   final case class Workload(
       fileMB: String => Double,
       overrides: Map[String, Cost] = Map.empty,
-      netFile: String => Boolean = n => n.startsWith("http") || n.startsWith("ftp"),
-      diskMBs: Double = 700.0,
-      netMBs: Double = 125.0,
-      cores: Int = 64,
       /** Expected data volume per region when bytes enter via command
         * amplification (downloads) rather than source files (step sizing). */
       volumeHintMB: Double = 0.0,
-  )
+  ) {
+    val cores  = 64
+    val netMBs = 125.0
+  }
+
+  private val DiskMBs = 700.0
+
+  /** URLs are read over the shared NIC, every other file from disk. */
+  private def netFile(name: String): Boolean =
+    name.startsWith("http") || name.startsWith("ftp")
 
   def build(g: Graph, w: Workload): (Vector[Proc], Vector[Chan]) = {
     // channel per DFG edge (dense renumbering)
     val edgeIds = g.edges.keys.toVector.sorted
     val chanOf  = edgeIds.zipWithIndex.toMap
-    val chans   = collection.mutable.ArrayBuffer.empty[Chan]
-    edgeIds.foreach(e => chans += Chan(chanOf(e), FifoCapMB))
+    val chans   = edgeIds.map(e => Chan(chanOf(e), FifoCapMB))
 
     val procs = collection.mutable.ArrayBuffer.empty[Proc]
-    def addProc(label: String, ins: Vector[Int], outs: Vector[Int], cost: Cost,
-                outShare: Vector[Double] = Vector.empty): Unit =
-      procs += Proc(procs.size, label, ins, outs, cost, outShare)
-
-    def newChan(cap: Double = FifoCapMB): Int = {
-      val id = chans.size; chans += Chan(id, cap); id
-    }
+    def addProc(label: String, ins: Vector[Int], outs: Vector[Int], cost: Cost): Unit =
+      procs += Proc(procs.size, label, ins, outs, cost)
 
     // sources for graph-input edges
     g.edges.values.toList.sortBy(_.id).foreach { e =>
@@ -48,9 +47,9 @@ object SimBuild {
           case SrcFile(f)           => (f, w.fileMB(f))
           case SrcFilePart(f, i, o) => (s"$f[$i/$o]", w.fileMB(f) / o)
         }
-        val net = w.netFile(name.takeWhile(_ != '['))
+        val net = netFile(name.takeWhile(_ != '['))
         addProc(s"read:$name", Vector.empty, Vector(chanOf(e.id)),
-          Cost(rateMBs = if (net) w.netMBs else w.diskMBs, sel = mb,
+          Cost(rateMBs = if (net) w.netMBs else DiskMBs, sel = mb,
                usesCpu = false, usesNet = net))
       }
     }
@@ -61,21 +60,18 @@ object SimBuild {
       n.op match {
         case CmdOp(r)  => addProc(r.name, ins, outs, CostModel.cmd(r, w.overrides))
         case MapOp(r)  => addProc(s"map:${r.name}", ins, outs, CostModel.cmd(r, w.overrides))
-        case AggOp(k, r) => addProc(s"agg:$k", ins, outs, CostModel.agg(k, r))
-        case SplitOp(ways) =>
+        case AggOp(k, _) => addProc(s"agg:$k", ins, outs, CostModel.agg(k))
+        case SplitOp(_) =>
           addProc("split", ins, outs,
-            Cost(600.0, sel = 1.0, kind = Blocking, emitMBs = 600.0),
-            outShare = Vector.fill(ways)(1.0 / ways))
+            Cost(600.0, sel = 1.0, kind = Blocking, emitMBs = 600.0))
         // plumbing (cat/relay) is memory-bound copying: it does not take a
         // core away from the commands doing real work
         case CatOp     => addProc("cat", ins, outs, Cost(800.0, usesCpu = false))
-        case RelayOp(eager, blocking) =>
-          val c = if (eager) Cost(800.0, kind = EagerRelay, usesCpu = false)
-                  else if (blocking) Cost(700.0, kind = Blocking, emitMBs = 700.0,
-                                          usesCpu = false)
-                  else Cost(800.0, usesCpu = false)
-          addProc(if (eager) "eager" else if (blocking) "blocking-eager" else "relay",
-                  ins, outs, c)
+        case RelayOp(true, _) =>
+          addProc("eager", ins, outs, Cost(800.0, kind = EagerRelay, usesCpu = false))
+        case RelayOp(false, _) =>
+          addProc("blocking-eager", ins, outs,
+            Cost(700.0, kind = Blocking, emitMBs = 700.0, usesCpu = false))
       }
     }
 
@@ -85,17 +81,16 @@ object SimBuild {
               Vector.empty, Cost(2000.0, sel = 0.0, usesCpu = false))
     }
 
-    (procs.toVector, chans.toVector)
+    (procs.toVector, chans)
   }
 
   /** Simulate a whole script at a PaSh configuration; regions run in
     * sequence (barriers), total = sum of region times. */
-  def simulateScript(src: String, cfg: Transform.PashConfig, w: Workload,
-                     pipeCleanup: Boolean = true): Double = {
+  def simulateScript(src: String, cfg: Transform.PashConfig, w: Workload): Double = {
     val res = Compiler.pash(src, cfg)
     res.parallel.map { g =>
       val (procs, chans) = build(g, w)
-      val r = PipeSim.run(procs, chans, w.cores, w.netMBs, pipeCleanup,
+      val r = PipeSim.run(procs, chans, w.cores, w.netMBs,
                           volumeHintMB = w.volumeHintMB)
       require(!r.deadlocked, "simulated script deadlocked")
       r.timeSec
@@ -163,7 +158,7 @@ object CostModel {
     overrides.getOrElse(r.name,
       defaults.getOrElse(r.name, Cost(100.0, sel = 1.0)))
 
-  def agg(key: String, r: Resolved): Cost = key match {
+  def agg(key: String): Cost = key match {
     case "sort-m" => Cost(250.0, sel = 1.0, interleaved = true)
     case "uniq" | "uniq-c" => Cost(400.0, sel = 1.0)
     case "wc" | "sum" => Cost(500.0, sel = 1.0)

@@ -65,7 +65,7 @@ class OracleSpec extends SparkSpec {
 
   test("oracle: wc -l equals SQL row count") {
     val store = freshStore(Scripts.unix50(0))
-    val out = pashOut(ScriptBench("wcl", "cat unix50.txt | wc -l", "", "",
+    val out = pashOut(ScriptBench("wcl", "cat unix50.txt | wc -l", "",
       Map.empty, Map.empty, Scripts.unix50(0).setup))
     val df = out.map(_.toLong).toDF("cnt")
     Oracle.assertEquivalent(df, "SELECT count(*) AS cnt FROM lines",

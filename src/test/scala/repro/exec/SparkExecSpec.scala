@@ -101,7 +101,7 @@ class SparkExecSpec extends SparkSpec {
   test("chunked file reads preserve order (rddPart concatenation)") {
     val s = new Store(spark.sparkContext)
     s.add("f", 1000, i => s"line-$i")
-    val whole = s.rdd("f", 1).collect().toVector
+    val whole = s.rdd("f").collect().toVector
     val parts = (0 until 7).flatMap(i => s.rddPart("f", i, 7).collect()).toVector
     assert(parts == whole)
     var generated = 0

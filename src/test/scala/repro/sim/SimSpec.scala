@@ -1,7 +1,7 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bench.Scripts
+import repro.bench.{Scripts, Tables}
 import repro.core.Transform._
 import repro.sim.PipeSim._
 import repro.sim.SimBuild.Workload
@@ -44,6 +44,33 @@ class SimSpec extends AnyFunSuite {
     val r = PipeSim.run(p, c, cores = 16, pipeCleanup = true)
     // producers were cut short well before their 200MB combined output
     assert(r.producedMB.values.sum < 150.0)
+  }
+
+  // ------------------------------------------------ exact simulated time
+
+  /** `simulateScript` seconds under the four lattice configs, in
+    * `Tables.LatticeConfigs` order. A refactor of the simulator or the
+    * compiler must leave every one of them bit-identical. */
+  private val pinnedSeconds: Map[(String, Int), List[Double]] = Map(
+    ("nfa-regex", 1)  -> List(341.337600000154, 341.337600000154, 341.337600000154, 341.337600000154),
+    ("nfa-regex", 16) -> List(21.811199999999687, 21.811199999999687, 21.849599999999683, 336.9856000001448),
+    ("nfa-regex", 64) -> List(16.128000000000313, 16.128000000000313, 16.128000000000313, 543.5392000004406),
+    ("wf", 1)         -> List(447.4879999999649, 447.4879999999649, 447.4879999999649, 447.4879999999649),
+    ("wf", 16)        -> List(67.32800000000005, 173.05599999999512, 173.1839999999951, 173.05599999999512),
+    ("wf", 64)        -> List(59.904000000000046, 172.92799999999514, 172.54399999999518, 314.1119999999796),
+    ("sort-sort", 1)  -> List(602.367999999988, 602.367999999988, 602.367999999988, 602.367999999988),
+    ("sort-sort", 16) -> List(116.22400000000009, 327.9359999999781, 328.0639999999781, 327.9359999999781),
+    ("sort-sort", 64) -> List(70.14400000000005, 323.71199999997856, 323.1999999999786, 602.8799999999882),
+  )
+
+  test("simulated seconds are pinned exactly (nfa-regex, wf, sort-sort × lattice)") {
+    val benches = List(Scripts.nfaRegex, Scripts.wf, Scripts.sortSort)
+    for (b <- benches; w <- List(1, 16, 64)) {
+      val got = Tables.LatticeConfigs.map { case (_, cfg) =>
+        SimBuild.simulateScript(b.script, cfg(w), b.workload())
+      }
+      assert(got == pinnedSeconds((b.name, w)), s"${b.name} at width $w")
+    }
   }
 
   // -------------------------------------------- §6.1 qualitative shapes
