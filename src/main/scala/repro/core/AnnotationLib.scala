@@ -6,52 +6,51 @@ import PClass._
 /** PaSh's standard library of annotations (§3.2) plus the POSIX/GNU
   * parallelizability study (§3.1, Tab. 1).
   *
-  * Detailed records (flags → class/inputs/outputs/aggregator) exist for
-  * every command used by the evaluation scripts; the remaining commands of
-  * GNU Coreutils and POSIX carry a bare class assignment used both for the
-  * Tab. 1 study and as a conservative default during translation.
+  * Detailed records (flags → class/inputs/aggregator) exist for every
+  * command used by the evaluation scripts, and only they license a
+  * transform. The bare classes of GNU Coreutils and POSIX are Tab. 1 data.
   */
 object AnnotationLib {
 
   // ----------------------------------------------------- detailed records
 
-  private def filterIn  = List(In(AllOperandsOrStdin))
-  private def out       = List(StdoutRef: IoRef)
+  private def filterIn = List(In(OperandsFrom(0)))
 
   private def simple(name: String, cls: PClass, agg: Option[String] = None,
                      valueFlags: Set[String] = Set.empty,
                      combined: Boolean = false): Annotation =
-    Annotation(name, List(Clause(Always, cls, filterIn, out, agg)), valueFlags,
+    Annotation(name, List(Clause(Always, cls, filterIn, agg)), valueFlags,
                shortCombined = combined)
 
   /** Detailed annotation records, keyed by command name. 47+ commands. */
   val records: Map[String, Annotation] = List(
     // --- stateless workhorses -------------------------------------------
     Annotation("cat", List(
-      Clause(Flag("-n"), Pure, filterIn, out, None), // line numbering: stateful
-      Clause(Always, Stateless, filterIn, out),
+      Clause(Flag("-n"), Pure, filterIn), // line numbering: stateful
+      Clause(Always, Stateless, filterIn),
     )),
     // tr's operands are character sets, never files: stdin only
-    Annotation("tr", List(Clause(Always, Stateless, List(In(StdinRef)), out)),
+    Annotation("tr", List(Clause(Always, Stateless, List(In(StdinRef)))),
                shortCombined = true),
     Annotation("grep", List(
       // operand 0 is the pattern; files (if any) start at operand 1
-      Clause(Flag("-c"), Pure, List(In(OperandsFrom(1))), out, Some("sum")),
-      Clause(Flag("-n"), Pure, List(In(OperandsFrom(1))), out, None),
-      Clause(Always, Stateless, List(In(OperandsFrom(1))), out),
+      Clause(Flag("-c"), Pure, List(In(OperandsFrom(1))), Some("sum")),
+      Clause(Flag("-n"), Pure, List(In(OperandsFrom(1)))),
+      Clause(Always, Stateless, List(In(OperandsFrom(1)))),
     ), valueFlags = Set("-e", "-f"), shortCombined = true),
     simple("cut", Stateless, valueFlags = Set("-d", "-f", "-c")),
     Annotation("sed", List(
       // operand 0 is the script; substitution-only scripts are per-line maps
       Clause(!Flag("-n") && ArgMatch("^s[/;,|#].*"), Stateless,
-             List(In(OperandsFrom(1))), out),
-      Clause(Always, NonParallel, List(In(OperandsFrom(1))), out),
+             List(In(OperandsFrom(1)))),
+      Clause(Always, NonParallel, List(In(OperandsFrom(1)))),
     ), valueFlags = Set("-e")),
     simple("rev", Stateless),
     simple("col", Stateless),
     simple("iconv", Stateless, valueFlags = Set("-f", "-t")),
-    simple("basename", Stateless),
-    simple("dirname", Stateless),
+    // operands are path names, not files: no input stream
+    Annotation("basename", List(Clause(Always, Stateless, Nil))),
+    Annotation("dirname", List(Clause(Always, Stateless, Nil))),
     simple("fold", Stateless, valueFlags = Set("-w")),
     simple("expand", Stateless),
     simple("unexpand", Stateless),
@@ -67,46 +66,45 @@ object AnnotationLib {
 
     // --- parallelizable pure --------------------------------------------
     Annotation("sort", List(
-      Clause(Flag("-m"), Pure, filterIn, out, None), // already an aggregator
-      Clause(Always, Pure, filterIn, out, Some("sort-m")),
+      Clause(Flag("-m"), Pure, filterIn), // already an aggregator
+      Clause(Always, Pure, filterIn, Some("sort-m")),
     ), valueFlags = Set("-k", "-t", "-S"), shortCombined = true),
     Annotation("uniq", List(
-      Clause(Flag("-c"), Pure, filterIn, out, Some("uniq-c")),
-      Clause(Always, Pure, filterIn, out, Some("uniq")),
+      Clause(Flag("-c"), Pure, filterIn, Some("uniq-c")),
+      Clause(Always, Pure, filterIn, Some("uniq")),
     ), shortCombined = true),
     Annotation("wc", List(
-      Clause(Always, Pure, filterIn, out, Some("wc")),
+      Clause(Always, Pure, filterIn, Some("wc")),
     ), shortCombined = true),
     Annotation("head", List(
-      Clause(Always, Pure, filterIn, out, Some("head")),
+      Clause(Always, Pure, filterIn, Some("head")),
     ), valueFlags = Set("-n", "-c")),
     Annotation("tail", List(
       // `tail -n +K` (drop a prefix) has no per-chunk map that composes
       // with a pure aggregate — stays sequential (conservative)
-      Clause(ArgMatch("^\\+[0-9]+$"), Pure, filterIn, out, None),
-      Clause(Always, Pure, filterIn, out, Some("tail")),
+      Clause(ArgMatch("^\\+[0-9]+$"), Pure, filterIn),
+      Clause(Always, Pure, filterIn, Some("tail")),
     ), valueFlags = Set("-n", "-c")),
     Annotation("tac", List(
-      Clause(Always, Pure, filterIn, out, Some("tac")),
+      Clause(Always, Pure, filterIn, Some("tac")),
     )),
     Annotation("nl", List(
-      Clause(Always, Pure, filterIn, out, None),
+      Clause(Always, Pure, filterIn),
     )),
     Annotation("comm", List(
       Clause(Flag("-1") && Flag("-3"), Stateless,
-             List(In(OperandRef(0), static = true), In(OperandRef(1))), out),
+             List(In(OperandRef(0), static = true), In(OperandRef(1)))),
       Clause(Flag("-2") && Flag("-3"), Stateless,
-             List(In(OperandRef(1), static = true), In(OperandRef(0))), out),
-      Clause(Always, Pure,
-             List(In(OperandRef(0)), In(OperandRef(1))), out, None),
+             List(In(OperandRef(1), static = true), In(OperandRef(0)))),
+      Clause(Always, Pure, List(In(OperandRef(0)), In(OperandRef(1)))),
     ), stdinHyphen = true, shortCombined = true),
     Annotation("join", List(
-      Clause(Always, Pure, List(In(OperandRef(0)), In(OperandRef(1))), out, None),
+      Clause(Always, Pure, List(In(OperandRef(0)), In(OperandRef(1)))),
     ), stdinHyphen = true, valueFlags = Set("-1", "-2", "-t", "-j")),
     Annotation("paste", List(
       // single-input `paste -s`-free invocations are per-line; multi-input
       // or serial mode interleaves streams — keep sequential.
-      Clause(Always, Pure, filterIn, out, None),
+      Clause(Always, Pure, filterIn),
     ), stdinHyphen = true, valueFlags = Set("-d")),
 
     // --- non-parallelizable pure ----------------------------------------
@@ -116,7 +114,7 @@ object AnnotationLib {
     simple("cksum", NonParallel),
     Annotation("awk", List(
       // operand 0 is the program; files start at operand 1
-      Clause(Always, NonParallel, List(In(OperandsFrom(1))), out),
+      Clause(Always, NonParallel, List(In(OperandsFrom(1)))),
     ), valueFlags = Set("-F", "-v", "-f")),
     simple("bc", NonParallel),
     simple("diff", NonParallel),
@@ -130,47 +128,45 @@ object AnnotationLib {
     simple("curl", NonParallel, valueFlags = Set("-o", "-H")),
     simple("wget", NonParallel, valueFlags = Set("-O")),
     // pure sources: operands are data/arguments, there is no input stream
-    Annotation("echo", List(Clause(Always, NonParallel, Nil, out))),
-    Annotation("seq", List(Clause(Always, NonParallel, Nil, out))),
+    Annotation("echo", List(Clause(Always, NonParallel, Nil))),
+    Annotation("seq", List(Clause(Always, NonParallel, Nil))),
     simple("file", Stateless), // per-operand type detection, used via xargs
 
     // --- higher-order ----------------------------------------------------
+    // operands are the inner command, not files: items arrive on stdin
     Annotation("xargs",
-      List(Clause(Always, SideEffectful, filterIn, out)),
+      List(Clause(Always, SideEffectful, List(In(StdinRef)))),
       valueFlags = Set("-n", "-I", "-P"), higherOrder = true),
   ).map(a => a.name -> a).toMap
 
-  /** Commands whose only effect is a read-only fetch: under `xargs` they
-    * behave as a per-line pure map (URL line → body lines), hence (S). */
-  val readOnlyFetch: Set[String] = Set("curl", "wget", "cat", "file", "wc")
+  /** Read-only fetches: under `xargs` a per-line map in any batching. */
+  private val readOnlyFetch: Set[String] = Set("curl", "wget")
 
-  /** Resolve an invocation to its parallelizability view.
+  /** Resolve an invocation to its parallelizability view; a command
+    * without a record is [[Annotations.opaque]].
     *
     * `xargs cmd args...` is higher-order (§3.2): its class is derived from
-    * the invoked command — (S) if the inner command is per-item pure.
+    * the invoked command. Another pure command's output depends on the
+    * batch (`wc`'s `total` line), so it is (S) only under `-n 1`.
     */
-  def resolve(name: String, args: List[String]): Resolved = {
-    records.get(name) match {
-      case Some(a) if a.higherOrder =>
-        val inner = args.dropWhile(w => w.startsWith("-") || w.matches("[0-9]+"))
-        val innerCls = inner match {
-          case cmd :: innerArgs =>
-            val r = resolve(cmd, innerArgs)
-            if (r.cls == Stateless || r.cls == Pure) Stateless
-            else if (readOnlyFetch.contains(cmd)) Stateless
-            else SideEffectful
-          case Nil => SideEffectful
-        }
-        val (flags, flagVals, operands) = a.splitArgs(args)
-        Resolved(name, args, innerCls, List(StreamSpec.Std), List(StreamSpec.Std),
-                 None, flags, operands, flagVals)
-      case Some(a) => a.resolve(args)
-      case None =>
-        // bare class from the study lists; conservative stdin→stdout wiring
-        val cls = studyClass.getOrElse(name, SideEffectful)
-        Resolved(name, args, cls, List(StreamSpec.Std), List(StreamSpec.Std),
-                 None, Set.empty, args.filterNot(_.startsWith("-")))
-    }
+  def resolve(name: String, args: List[String]): Resolved = records.get(name) match {
+    case Some(a) if a.higherOrder =>
+      // xargs's own options come before the inner command
+      val inner   = args.dropWhile(w => w.startsWith("-") || w.matches("[0-9]+"))
+      val oneEach = a.splitArgs(args.dropRight(inner.size))._2.get("-n").contains("1")
+      val cls = inner match {
+        case cmd :: innerArgs =>
+          resolve(cmd, innerArgs).cls match {
+            case Stateless                        => Stateless
+            case Pure | NonParallel if oneEach    => Stateless
+            case _ if readOnlyFetch.contains(cmd) => Stateless
+            case _                                => SideEffectful
+          }
+        case Nil => SideEffectful
+      }
+      a.resolve(args).copy(cls = cls)
+    case Some(a) => a.resolve(args)
+    case None    => opaque(name, args)
   }
 
   // -------------------------------------------------------- Tab. 1 study
@@ -225,9 +221,6 @@ object AnnotationLib {
       .map(_ -> SideEffectful)
     s ++ p ++ n ++ e
   }
-
-  private val studyClass: Map[String, PClass] =
-    (coreutils ++ posix).toMap
 
   /** Tab. 1 counts: class → (coreutils count, posix count). */
   def study: Map[PClass, (Int, Int)] =

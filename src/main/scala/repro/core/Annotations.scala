@@ -4,8 +4,9 @@ package repro.core
   *
   * An [[Annotation]] describes one command: a list of [[Clause]]s, each
   * guarded by a predicate over the command's flags (concern C3), assigning a
-  * parallelizability class (C1) and the ordered inputs/outputs (C2). The
-  * first matching clause wins; a conservative default applies otherwise.
+  * parallelizability class (C1) and the ordered inputs (C2); output is
+  * stdout. The first matching clause wins; anything no record describes is
+  * the [[opaque]] (E) node.
   */
 object Annotations {
 
@@ -38,13 +39,11 @@ object Annotations {
   /** Symbolic reference to a stream position, resolved against operands. */
   sealed trait IoRef
   case object StdinRef                extends IoRef
-  case object StdoutRef               extends IoRef
   /** i-th operand (non-flag argument), 0-based. */
   final case class OperandRef(i: Int) extends IoRef
-  /** All operands, in order; if none, stdin (UNIX filter convention). */
-  case object AllOperandsOrStdin      extends IoRef
   /** Operand files from index `i` on (earlier operands are arguments, e.g.
-    * grep's pattern or sed's script); stdin if none. */
+    * grep's pattern or sed's script); stdin if none — `OperandsFrom(0)` is
+    * the UNIX filter convention. */
   final case class OperandsFrom(i: Int) extends IoRef
 
   /** An input slot: `static` inputs are configuration read in full before
@@ -60,7 +59,6 @@ object Annotations {
       pred: Pred,
       cls: PClass,
       inputs: List[In],
-      outputs: List[IoRef],
       agg: Option[String] = None,
   )
 
@@ -107,47 +105,38 @@ object Annotations {
       (flags.result(), vals.result(), operands.result())
     }
 
-    /** Resolve the matching clause for an invocation. */
+    /** Resolve the matching clause for an invocation; [[opaque]] if none
+      * matches. */
     def resolve(args: List[String]): Resolved = {
       val (flags, flagVals, operands) = splitArgs(args)
-      val clause = clauses.find(_.pred.eval(flags, args)).getOrElse(
-        Clause(Always, PClass.SideEffectful, List(In(StdinRef)), List(StdoutRef)))
-      def refToStreams(r: IoRef, static: Boolean): List[StreamSpec] = r match {
-        case StdinRef   => List(StreamSpec.Std)
-        case StdoutRef  => List(StreamSpec.Std)
+      def stream(f: String, static: Boolean): StreamSpec =
+        if (f == "-" && stdinHyphen) StreamSpec.Std else StreamSpec.File(f, static)
+      def refToStreams(in: In): List[StreamSpec] = in.ref match {
+        case StdinRef      => List(StreamSpec.Std)
         case OperandRef(i) =>
-          operands.lift(i) match {
-            case Some("-") if stdinHyphen => List(StreamSpec.Std)
-            case Some(f)                  => List(StreamSpec.File(f, static))
-            case None                     => List(StreamSpec.Std)
-          }
-        case AllOperandsOrStdin =>
-          if (operands.isEmpty) List(StreamSpec.Std)
-          else operands.map {
-            case "-" if stdinHyphen => StreamSpec.Std
-            case f                  => StreamSpec.File(f, static)
-          }
+          List(operands.lift(i).fold[StreamSpec](StreamSpec.Std)(stream(_, in.static)))
         case OperandsFrom(i) =>
           val files = operands.drop(i)
-          if (files.isEmpty) List(StreamSpec.Std)
-          else files.map {
-            case "-" if stdinHyphen => StreamSpec.Std
-            case f                  => StreamSpec.File(f, static)
-          }
+          if (files.isEmpty) List(StreamSpec.Std) else files.map(stream(_, in.static))
       }
-      val ins = clause.inputs.flatMap(in => refToStreams(in.ref, in.static).map {
-        case StreamSpec.File(f, _) => StreamSpec.File(f, in.static)
-        case s                     => s
-      })
-      val outs = clause.outputs.flatMap(refToStreams(_, static = false))
-      Resolved(name, args, clause.cls, ins, outs, clause.agg, flags, operands, flagVals)
+      clauses.find(_.pred.eval(flags, args)) match {
+        case Some(c) =>
+          Resolved(name, args, c.cls, c.inputs.flatMap(refToStreams), c.agg, flags,
+                   operands, flagVals)
+        case None => opaque(name, args)
+      }
     }
   }
+
+  /** The one node for an invocation no record describes: side-effectful,
+    * reading stdin, never parallelized (§4.1's conservative default). */
+  def opaque(name: String, args: List[String]): Resolved =
+    Resolved(name, args, PClass.SideEffectful, List(StreamSpec.Std), None, Set.empty, Nil)
 
   /** Concrete stream endpoint after resolving operand references. */
   sealed trait StreamSpec
   object StreamSpec {
-    /** stdin/stdout — wired to the surrounding pipeline. */
+    /** stdin — wired to the previous pipeline stage. */
     case object Std extends StreamSpec
     final case class File(path: String, static: Boolean) extends StreamSpec
   }
@@ -158,7 +147,6 @@ object Annotations {
       args: List[String],
       cls: PClass,
       inputs: List[StreamSpec],
-      outputs: List[StreamSpec],
       agg: Option[String],
       flags: Set[String],
       operands: List[String],

@@ -24,11 +24,10 @@ object Ast {
   final case class VarRef(name: String)       extends Word
   final case class Concat(parts: List[Word])  extends Word
 
-  /** Redirections: `cmd < in`, `cmd > out`, `cmd >> out`. */
+  /** Redirections: `cmd < in`, `cmd > out`. */
   sealed trait Redir { def target: Word }
-  final case class RedirIn(target: Word)     extends Redir
-  final case class RedirOut(target: Word)    extends Redir
-  final case class RedirAppend(target: Word) extends Redir
+  final case class RedirIn(target: Word)  extends Redir
+  final case class RedirOut(target: Word) extends Redir
 
   sealed trait Node
 

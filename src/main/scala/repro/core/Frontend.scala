@@ -1,7 +1,7 @@
 package repro.core
 
 import Ast._
-import Annotations.{Resolved, StreamSpec}
+import Annotations.{Resolved, StreamSpec, opaque}
 import Dfg._
 
 /** Frontend (§4.1): identify dataflow regions in the shell AST and lift
@@ -12,8 +12,9 @@ import Dfg._
   * are barriers. `for` loops are unrolled (iterations are sequential in
   * POSIX), with the loop variable bound in the static environment so words
   * like `"$base/$y"` expand during translation. A word whose expansion is
-  * unknown makes its command conservatively side-effectful — the region
-  * still builds (so it can execute) but the node is never parallelized.
+  * unknown makes its command the opaque (E) node — the region still builds
+  * but the node is never parallelized. A first stage that reads the
+  * script's own stdin is rejected: a region has no edge for it.
   */
 object Frontend {
 
@@ -51,14 +52,12 @@ object Frontend {
   }
 
   /** Resolve one command stage against the annotation library. Unknown
-    * expansions degrade to side-effectful (conservative default, §4.1). */
+    * expansions give the opaque (E) node (conservative default, §4.1). */
   def resolveStage(c: Cmd, env: Map[String, String]): Resolved = {
     val nameE = c.name.expand(env)
     val argsE = c.args.map(_.expand(env))
     if (nameE.isEmpty || argsE.exists(_.isEmpty))
-      Resolved(nameE.getOrElse("<dynamic>"), argsE.flatten,
-               PClass.SideEffectful, List(StreamSpec.Std), List(StreamSpec.Std),
-               None, Set.empty, Nil)
+      opaque(nameE.getOrElse("<dynamic>"), argsE.flatten)
     else AnnotationLib.resolve(nameE.get, argsE.map(_.get))
   }
 
@@ -73,10 +72,7 @@ object Frontend {
         val r = resolveStage(c, env)
 
         val redirIn  = c.redirs.collectFirst { case RedirIn(t)  => t.expand(env) }.flatten
-        val redirOut = c.redirs.collectFirst {
-          case RedirOut(t) => t.expand(env)
-          case RedirAppend(t) => t.expand(env)
-        }.flatten
+        val redirOut = c.redirs.collectFirst { case RedirOut(t) => t.expand(env) }.flatten
 
         // Static (configuration) inputs: replicated under parallelization.
         val staticEdges = r.inputs.collect {
@@ -95,7 +91,8 @@ object Frontend {
               case None    =>
                 redirIn match {
                   case Some(f) => List(b.freshEdge(Some(SrcFile(f))))
-                  case None    => Nil // the script's own stdin: no input edge
+                  case None    => throw new IllegalArgumentException(
+                    s"${r.name}: the first stage reads the script's stdin, which a region cannot read")
                 }
             }
           case StreamSpec.File(f, _) => List(b.freshEdge(Some(SrcFile(f))))

@@ -25,7 +25,8 @@ class LawsSpec extends AnyFunSuite {
   private val ctx = Ctx(Nil, _ => Vector.empty)
 
   private val vocab = Vector("the", "Fox", "jumps", "42", "a-b", "x,y",
-                             "999", "GZ:zip", "  pad", "word", "", "AGATCGGAAGAGCx")
+                             "999", "GZ:zip", "  pad", "word", "", "AGATCGGAAGAGCx",
+                             "<a href=\"u\">")
 
   private def randLine(seed: Long, i: Long): String = {
     val n = (SynthText.mix(seed, i) & 7).toInt
@@ -69,15 +70,28 @@ class LawsSpec extends AnyFunSuite {
   private def agg2(key: String, r: Resolved)(x: Vector[String], y: Vector[String]) =
     Kernels.aggN(key, r, List(x, y))
 
-  private def checkStateless(name: String, args: List[String]): Unit =
-    test(s"stateless law: $name ${args.mkString(" ")}") {
-      val r = AnnotationLib.resolve(name, args)
-      assert(r.cls == repro.core.PClass.Stateless, s"$name must be (S)")
-      val f = Kernels.whole(r)(ctx)
-      forAllPairs { (x, y) =>
-        assert(f(List(x ++ y)) == f(List(x)) ++ f(List(y)))
-      }
+  /** (command, clause index) of every record clause a stateless law covers. */
+  private val statelessChecked = collection.mutable.Set.empty[(String, Int)]
+
+  /** Resolve `name args` and note which clause of its record a law covers. */
+  private def covered(name: String, args: List[String]): Resolved = {
+    val a = AnnotationLib.records(name)
+    statelessChecked += name -> a.clauses.indexWhere(_.pred.eval(a.splitArgs(args)._1, args))
+    AnnotationLib.resolve(name, args)
+  }
+
+  private def statelessLaw(r: Resolved, c: Ctx): Unit = {
+    assert(r.cls == repro.core.PClass.Stateless, s"${r.name} must be (S)")
+    val f = Kernels.whole(r)(c)
+    forAllPairs { (x, y) =>
+      assert(f(List(x ++ y)) == f(List(x)) ++ f(List(y)))
     }
+  }
+
+  private def checkStateless(name: String, args: List[String]): Unit = {
+    val r = covered(name, args)
+    test(s"stateless law: $name ${args.mkString(" ")}")(statelessLaw(r, ctx))
+  }
 
   private def checkPure(name: String, args: List[String]): Unit =
     test(s"map/aggregate law: $name ${args.mkString(" ")}") {
@@ -127,15 +141,31 @@ class LawsSpec extends AnyFunSuite {
   checkStateless("quality-filter", Nil)
   checkStateless("expand", Nil)
   checkStateless("col", Nil)
+  checkStateless("iconv", List("-f", "utf-8", "-t", "ascii"))
+  checkStateless("unexpand", Nil)
+  checkStateless("zcat", Nil)
+  checkStateless("url-extract", Nil)
+  checkStateless("file", Nil)
 
-  test("stateless law: comm -13 with static dictionary") {
-    val r    = AnnotationLib.resolve("comm", List("-13", "dict", "-"))
-    val dict = Vector("42", "the", "word")
-    val c    = Ctx(List(dict), _ => Vector.empty)
-    val f    = Kernels.whole(r)(c)
-    forAllPairs { (x, y) =>
-      assert(f(List(x ++ y)) == f(List(x)) ++ f(List(y)))
-    }
+  private val dictCtx = Ctx(List(Vector("42", "the", "word")), _ => Vector.empty)
+
+  locally {
+    val r = covered("comm", List("-13", "dict", "-"))
+    test("stateless law: comm -13 with static dictionary")(statelessLaw(r, dictCtx))
+  }
+  locally {
+    val r = covered("comm", List("-23", "-", "dict"))
+    test("stateless law: comm -23 with static dictionary")(statelessLaw(r, dictCtx))
+  }
+
+  test("every (S) record clause with a streaming input has a stateless law") {
+    val missing = for {
+      a      <- AnnotationLib.records.values.toList
+      (c, i) <- a.clauses.zipWithIndex
+      if c.cls == repro.core.PClass.Stateless && c.inputs.exists(!_.static)
+      if !statelessChecked((a.name, i))
+    } yield s"${a.name} clause $i"
+    assert(missing.isEmpty)
   }
 
   // ---- parallelizable pure commands (agg ∘ map = f)

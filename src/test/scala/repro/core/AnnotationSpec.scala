@@ -62,6 +62,21 @@ class AnnotationSpec extends AnyFunSuite {
     assert(cls("frobnicate") == SideEffectful)
   }
   test("date (study list) is side-effectful") { assert(cls("date") == SideEffectful) }
+  test("a command without a record is the opaque (E) node, whatever its study class") {
+    // base64/printf/strings/dd are (S) in the Tab. 1 study, but no record
+    // or kernel describes them
+    List("base64" -> List("-d"), "printf" -> List("%s\\n", "x"),
+         "strings" -> List("f"), "dd" -> List("if=f")).foreach {
+      case (name, args) =>
+        assert(AnnotationLib.resolve(name, args) == Annotations.opaque(name, args))
+    }
+    val r = Annotations.opaque("base64", List("f"))
+    assert(r.cls == SideEffectful && r.inputs == List(StreamSpec.Std) && r.agg.isEmpty)
+  }
+  test("basename and dirname take names, not input files") {
+    assert(AnnotationLib.resolve("basename", List("x")).inputs.isEmpty)
+    assert(AnnotationLib.resolve("dirname", List("a/b")).inputs.isEmpty)
+  }
 
   // ---- comm: the paper's worked example (Fig. 4)
 
@@ -96,6 +111,19 @@ class AnnotationSpec extends AnyFunSuite {
     assert(cls("xargs", "rm") == SideEffectful)
   }
   test("bare xargs is side-effectful") { assert(cls("xargs") == SideEffectful) }
+  test("xargs of a pure command is (S) only when each item is its own batch") {
+    // `wc` prints one `total` line per batch: batching changes the output
+    assert(cls("xargs", "wc", "-l") == SideEffectful)
+    assert(cls("xargs", "-n", "2", "wc", "-l") == SideEffectful)
+    assert(cls("xargs", "-n1", "wc", "-l") == Stateless)
+    assert(cls("xargs", "sort") == SideEffectful)
+    assert(cls("xargs", "-n", "1", "sha1sum") == Stateless)
+    assert(cls("xargs", "curl", "-s") == Stateless) // fetches concatenate
+  }
+  test("xargs reads its items from stdin; its operands are the inner command") {
+    val r = AnnotationLib.resolve("xargs", List("-n", "1", "wc", "-l"))
+    assert(r.inputs == List(StreamSpec.Std) && r.operands == List("wc"))
+  }
 
   // ---- predicate language
 

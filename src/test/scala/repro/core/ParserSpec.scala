@@ -61,7 +61,45 @@ class ParserSpec extends AnyFunSuite {
   }
 
   test("append redirection") {
-    assert(p("x >> log") == Cmd(Lit("x"), Nil, List(RedirAppend(Lit("log")))))
+    // the frontend has only overwriting sinks: `>>` would compile to `>`
+    intercept[Parser.ParseError](p("x >> log"))
+    intercept[Parser.ParseError](p("cat in.txt >> out.txt"))
+  }
+
+  test("compound commands raise instead of parsing as simple commands") {
+    List("if true; then cat in.txt; fi",
+         "while true; do cat in.txt; done",
+         "until false; do ls; done",
+         "case x in a) ls ;; esac",
+         "function f { ls; }",
+         "{ cat in.txt; }",
+         "! grep x f",
+         "ls; do ls",
+         "cat f | if true; then wc; fi").foreach { src =>
+      intercept[Parser.ParseError](p(src))
+    }
+  }
+
+  test("file-descriptor redirections raise; a spaced digit stays an operand") {
+    List("grep foo in.txt 2>/dev/null", "sort f 2>&1", "cat 0<in.txt",
+         "cat f 1>out", "cat f >&2").foreach { src =>
+      intercept[Parser.ParseError](p(src))
+    }
+    assert(p("head -n 2 >out") ==
+      Cmd(Lit("head"), List(Lit("-n"), Lit("2")), List(RedirOut(Lit("out")))))
+    assert(p("echo a2>out") == Cmd(Lit("echo"), List(Lit("a2")), List(RedirOut(Lit("out")))))
+  }
+
+  test("command substitution raises, quoted or not") {
+    List("echo \"$(date)\"", "echo `date`", "echo \"`date`\"", "echo $(date)",
+         "diff <(sort a) <(sort b)").foreach { src =>
+      intercept[Parser.ParseError](p(src))
+    }
+    assert(p("echo '$(date)'") == Cmd(Lit("echo"), List(Lit("$(date)"))))
+  }
+
+  test("keywords are ordinary words outside command position") {
+    assert(p("grep if f") == Cmd(Lit("grep"), List(Lit("if"), Lit("f"))))
   }
 
   test("single quotes preserve $ literally") {

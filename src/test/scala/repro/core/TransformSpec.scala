@@ -107,6 +107,27 @@ class TransformSpec extends AnyFunSuite {
     assert(frob.size == 1)
   }
 
+  test("an unrecorded command (base64) is never replicated") {
+    // (S) in the Tab. 1 study lists, but only a record licenses a transform
+    List("base64", "printf %s", "strings", "dd").foreach { cmd =>
+      val g = par(s"cat in.txt | $cmd", 4)
+      val nodes = g.nodes.values.collect {
+        case DNode(_, CmdOp(r), _, _) if r.name == cmd.takeWhile(_ != ' ') => r.cls
+      }
+      assert(nodes.toList == List(PClass.SideEffectful), cmd)
+      assert(count(g, "cmd") == 5, cmd) // 4 cat replicas + the command
+    }
+  }
+
+  test("a first stage that reads the script's stdin is rejected") {
+    List("grep foo | wc -l", "wc -l", "cat $undefined | wc -l", "base64 in.txt | wc -l")
+      .foreach(src => intercept[IllegalArgumentException](regions(src)))
+    // a `<` redirect gives the first stage an input edge; a source needs none
+    assert(regions("grep foo < in.txt | wc -l").head.inputs.flatMap(_.src) ==
+      List(SrcFile("in.txt")))
+    assert(regions("echo hi | wc -l").head.inputs.isEmpty)
+  }
+
   test("static inputs are replicated to every replica (comm -13)") {
     val g = par("cat f | sort -u | comm -13 dict.txt -", 4)
     val statics = g.edges.values.filter(_.static)

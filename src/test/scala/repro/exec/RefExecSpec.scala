@@ -95,6 +95,23 @@ class RefExecSpec extends AnyFunSuite {
     assert(seq.stdout.isEmpty && par.stdout.isEmpty)
   }
 
+  test("xargs wc over a file list: parallel == sequential at width 4") {
+    // without `-n 1` one batch prints one `total` line; replicas would
+    // print one each, so only `xargs -n 1 wc` may be replicated
+    val store = new Store(null)
+    val files = Vector.tabulate(8)(i => s"f$i.txt")
+    files.zipWithIndex.foreach { case (f, i) => store.addLines(f, Vector.fill(i + 1)("x")) }
+    store.addLines("list.txt", files)
+    List("cat list.txt | xargs wc -l", "cat list.txt | xargs -n 1 wc -l").foreach { src =>
+      val regions = Frontend.compile(src).regions
+      val seq = RefExec.runProgram(regions, store)
+      val par = RefExec.runProgram(regions.map(Transform.parallelize(_, PashConfig(4))), store)
+      assert(par.stdout == seq.stdout, src)
+    }
+    val seq = RefExec.runProgram(Frontend.compile("cat list.txt | xargs wc -l").regions, store)
+    assert(seq.stdout.count(_.endsWith(" total")) == 1 && seq.stdout.last == "36 total")
+  }
+
   // ---- the incorrect naive transformation measurably breaks (P) scripts
   test("naive chunk-and-concat breaks wf but PaSh does not (§6.5)") {
     val b     = Scripts.wf
