@@ -39,38 +39,54 @@ object Kernels extends Serializable {
     out.toString
   }
 
+  /** `tr` as two 64K-entry tables over `char`: SET1 membership (after `-c`)
+    * and the SET2 character each member maps to. A mapped or kept `\n`
+    * ends an output line; empty lines are dropped once a line was split. */
   private def trLine(r: Resolved): String => Seq[String] = {
     val comp    = r.flags.contains("-c")
     val squeeze = r.flags.contains("-s")
     val delete  = r.flags.contains("-d")
     val set1    = expandSet(r.operands.headOption.getOrElse(""))
     val set2    = r.operands.lift(1).map(expandSet).getOrElse("")
-    val in1     = set1.toSet
-    line => {
-      val sb = new StringBuilder
-      var last: Int = -1
-      line.foreach { ch =>
-        val member = in1.contains(ch) ^ comp
-        if (delete) {
-          if (!member) sb += ch
-        } else if (set2.nonEmpty && member) {
-          val mapped =
-            if (comp) set2.last
-            else {
-              val idx = set1.indexOf(ch)
-              set2.charAt(math.min(idx, set2.length - 1))
-            }
-          if (!(squeeze && last == mapped.toInt)) sb += mapped
-          last = mapped.toInt
-        } else if (squeeze && set2.isEmpty && member) {
-          // `tr -s SET`: squeeze repeats of SET members
-          if (last != ch.toInt) sb += ch
-          last = ch.toInt
-        } else { sb += ch; last = -1 }
+    val mapping = set2.nonEmpty
+    val member  = new Array[Boolean](65536)
+    set1.foreach(c => member(c) = true)
+    if (comp) (0 until 65536).foreach(c => member(c) = !member(c))
+    val mapTo = new Array[Char](65536)
+    if (mapping) {
+      if (comp) java.util.Arrays.fill(mapTo, set2.last)
+      else set1.indices.reverse.foreach { i => // first occurrence wins
+        mapTo(set1.charAt(i)) = set2.charAt(math.min(i, set2.length - 1))
       }
-      val out = sb.toString
-      if (out.contains('\n')) out.split("\n", -1).toSeq.filter(_.nonEmpty)
-      else Seq(out)
+    }
+    line => {
+      val done  = new collection.mutable.ListBuffer[String]
+      val sb    = new java.lang.StringBuilder(line.length)
+      var split = false
+      var last  = -1
+      var i     = 0
+      while (i < line.length) {
+        val ch  = line.charAt(i)
+        var out = -1 // the char this one becomes, if any
+        if (delete) {
+          if (!member(ch)) out = ch
+        } else if (mapping && member(ch)) {
+          val mapped = mapTo(ch).toInt
+          if (!(squeeze && last == mapped)) out = mapped
+          last = mapped
+        } else if (squeeze && !mapping && member(ch)) {
+          // `tr -s SET`: squeeze repeats of SET members
+          if (last != ch.toInt) out = ch
+          last = ch.toInt
+        } else { out = ch; last = -1 }
+        if (out == '\n') {
+          if (sb.length > 0) { done += sb.toString; sb.setLength(0) }
+          split = true
+        } else if (out >= 0) sb.append(out.toChar)
+        i += 1
+      }
+      if (!split || sb.length > 0) done += sb.toString
+      done.toList
     }
   }
 
@@ -87,27 +103,53 @@ object Kernels extends Serializable {
       }
     }
 
+  /** `cut -c` keeps ranges in list order; `cut -f` scans the fields with
+    * `indexOf` and keeps those in any range, in field order. */
   private def cutLine(r: Resolved): String => Seq[String] = {
     if (r.flagVals.contains("-c")) {
-      val ranges = parseRanges(r.flagVals("-c"))
-      line => Seq(ranges.map { case (a, b) =>
-        val from = math.min(a - 1, line.length)
-        val to   = math.min(b, line.length)
-        if (from < to) line.substring(from, to) else ""
-      }.mkString)
+      val ranges = parseRanges(r.flagVals("-c")).toArray
+      line => {
+        val sb = new java.lang.StringBuilder
+        ranges.foreach { case (a, b) =>
+          val from = math.min(a - 1, line.length)
+          val to   = math.min(b, line.length)
+          if (from < to) sb.append(line, from, to)
+        }
+        Seq(sb.toString)
+      }
     } else {
       val delim  = r.flagVals.getOrElse("-d", "\t").headOption.getOrElse('\t')
       val ranges = parseRanges(r.flagVals.getOrElse("-f", "1"))
+      // field i (1-based) is kept iff table(i), or for i past the table iff i >= openFrom
+      val finite = ranges.flatMap { case (a, b) => List(a, b) }.filter(_ != Int.MaxValue)
+      val table  = new Array[Boolean](finite.maxOption.getOrElse(0) + 1)
+      ranges.foreach { case (a, b) =>
+        (math.max(a, 1) to math.min(b, table.length - 1)).foreach(table(_) = true)
+      }
+      val openFrom = ranges.collect { case (a, Int.MaxValue) => math.max(a, 1) }
+        .minOption.getOrElse(Int.MaxValue)
       val onlyDelimited = r.flags.contains("-s")
-      line =>
-        if (!line.contains(delim)) { if (onlyDelimited) Seq.empty else Seq(line) }
+      line => {
+        var end = line.indexOf(delim)
+        if (end < 0) { if (onlyDelimited) Seq.empty else Seq(line) }
         else {
-          val fields = line.split(Pattern.quote(delim.toString), -1)
-          val keep = fields.zipWithIndex.collect {
-            case (f, i) if ranges.exists { case (a, b) => i + 1 >= a && i + 1 <= b } => f
+          val sb    = new java.lang.StringBuilder
+          var first = true
+          var start = 0
+          var field = 1
+          while (start >= 0) {
+            if (if (field < table.length) table(field) else field >= openFrom) {
+              if (!first) sb.append(delim)
+              sb.append(line, start, if (end < 0) line.length else end)
+              first = false
+            }
+            start = if (end < 0) -1 else end + 1
+            if (start >= 0) end = line.indexOf(delim, start)
+            field += 1
           }
-          Seq(keep.mkString(delim.toString))
+          Seq(sb.toString)
         }
+      }
     }
   }
 
@@ -158,80 +200,198 @@ object Kernels extends Serializable {
     out.result()
   }
 
+  // ===================================================== field machinery
+
+  /** `line.split(Pattern.quote(c.toString), -1)` without a regex. */
+  private[cmds] def splitOn(line: String, c: Char): Array[String] = {
+    val out   = Array.newBuilder[String]
+    var start = 0
+    var end   = line.indexOf(c)
+    while (end >= 0) { out += line.substring(start, end); start = end + 1; end = line.indexOf(c, start) }
+    out += line.substring(start)
+    out.result()
+  }
+
+  /** `\s` of `java.util.regex`: the six ASCII blanks. */
+  private def isBlank(c: Char): Boolean =
+    c == ' ' || c == '\t' || c == '\n' || c == '\u000b' || c == '\f' || c == '\r'
+
+  /** `line.trim.split("\\s+")` without a regex: `trim` drops every char up
+    * to U+0020 at both ends, then runs of [[isBlank]] separate the fields. */
+  private[cmds] def blankFields(line: String): Array[String] = {
+    val out = Array.newBuilder[String]
+    var i   = 0
+    var hi  = line.length
+    while (i < hi && line.charAt(i) <= ' ') i += 1
+    while (hi > i && line.charAt(hi - 1) <= ' ') hi -= 1
+    if (i == hi) out += ""
+    while (i < hi) {
+      val start = i
+      while (i < hi && !isBlank(line.charAt(i))) i += 1
+      out += line.substring(start, i)
+      while (i < hi && isBlank(line.charAt(i))) i += 1
+    }
+    out.result()
+  }
+
+  /** Number of fields [[blankFields]] would return, not counting an empty
+    * one: `wc -w`'s word count. */
+  private def wordCount(line: String): Long = {
+    var i  = 0
+    var hi = line.length
+    while (i < hi && line.charAt(i) <= ' ') i += 1
+    while (hi > i && line.charAt(hi - 1) <= ' ') hi -= 1
+    var n = 0L
+    var inWord = false
+    while (i < hi) {
+      val blank = isBlank(line.charAt(i))
+      if (!blank && !inWord) n += 1
+      inWord = !blank
+      i += 1
+    }
+    n
+  }
+
+  /** Numeric value of a string's leading number (GNU sort -n semantics):
+    * optional [[isBlank]]s, optional `-`, ASCII digits, optional `.` and
+    * fraction digits; else 0. Up to 15 digits without a fraction are exact
+    * as a `Long`; anything longer goes through `toDouble`. */
+  private[cmds] def numPrefix(s: String): Double = {
+    var i = 0
+    while (i < s.length && isBlank(s.charAt(i))) i += 1
+    val start = i
+    val neg   = i < s.length && s.charAt(i) == '-'
+    if (neg) i += 1
+    val digits = i
+    var v = 0L
+    while (i < s.length && s.charAt(i) >= '0' && s.charAt(i) <= '9') {
+      v = v * 10 + (s.charAt(i) - '0'); i += 1
+    }
+    if (i == digits) 0.0
+    else if (i < s.length && s.charAt(i) == '.') {
+      i += 1
+      while (i < s.length && s.charAt(i) >= '0' && s.charAt(i) <= '9') i += 1
+      s.substring(start, i).toDouble
+    } else if (i - digits > 15) s.substring(start, i).toDouble
+    else if (neg) -v.toDouble
+    else v.toDouble
+  }
+
   // ====================================================== sort machinery
 
-  /** GNU-sort-style comparator from flags: -n, -r, -k F[,M], -t SEP; ties
-    * fall back to full-line comparison (last-resort, like GNU without -s). */
-  def sortOrdering(r: Resolved): Ordering[String] = {
-    val numeric = r.flags.contains("-n")
-    val reverse = r.flags.contains("-r")
-    val sep     = r.flagVals.get("-t").flatMap(_.headOption)
-    val keySpec = r.flagVals.get("-k").map { spec =>
+  /** A line decorated once with its sort key: the `-k`/`-t` key string
+    * (the line itself without `-k`) and, under `-n`, its number. */
+  private final class Keyed(val key: String, val num: Double, val line: String)
+
+  /** GNU-sort-style order from flags: -n, -r, -k F[,M], -t SEP; ties fall
+    * back to full-line comparison (last resort, like GNU without -s), so
+    * only equal lines compare equal. Each line's key is computed once:
+    * without `-n`/`-k` the line is its own key (String natural order),
+    * otherwise the line is decorated as a [[Keyed]]. `sort`, `sort -u` and
+    * the `sort-m` aggregator all sort through [[sorted]]. */
+  private final class SortKey(r: Resolved) {
+    private val numeric = r.flags.contains("-n")
+    private val reverse = r.flags.contains("-r")
+    private val sep     = r.flagVals.get("-t").flatMap(_.headOption)
+    private val keySpec = r.flagVals.get("-k").map { spec =>
       spec.split(',') match {
         case Array(a)    => (a.takeWhile(_.isDigit).toInt, Int.MaxValue)
         case Array(a, b) => (a.takeWhile(_.isDigit).toInt, b.takeWhile(_.isDigit).toInt)
         case _           => (1, Int.MaxValue)
       }
     }
-    def fields(line: String): Array[String] = sep match {
-      case Some(c) => line.split(Pattern.quote(c.toString), -1)
-      case None    => line.trim.split("\\s+")
-    }
-    def keyOf(line: String): String = keySpec match {
-      case None => line
-      case Some((a, b)) =>
-        val fs = fields(line)
-        fs.slice(a - 1, if (b == Int.MaxValue) fs.length else b).mkString(" ")
-    }
-    val base: Ordering[String] = new Ordering[String] {
-      def compare(x: String, y: String): Int = {
-        val (kx, ky) = (keyOf(x), keyOf(y))
-        val primary =
-          if (numeric) java.lang.Double.compare(numPrefix(kx), numPrefix(ky))
-          else kx.compareTo(ky)
-        if (primary != 0) primary else x.compareTo(y) // last-resort
+
+    private def decorate(line: String): Keyed = {
+      val key = keySpec match {
+        case None => line
+        case Some((a, b)) =>
+          val fs = sep match {
+            case Some(c) => splitOn(line, c)
+            case None    => blankFields(line)
+          }
+          fs.slice(a - 1, if (b == Int.MaxValue) fs.length else b).mkString(" ")
       }
+      new Keyed(key, if (numeric) numPrefix(key) else 0.0, line)
     }
-    if (reverse) base.reverse else base
+
+    private val keyedOrder: java.util.Comparator[Keyed] = {
+      val base: java.util.Comparator[Keyed] =
+        if (numeric) (x, y) => {
+          val c = java.lang.Double.compare(x.num, y.num)
+          if (c != 0) c else x.line.compareTo(y.line)
+        }
+        else (x, y) => {
+          val c = x.key.compareTo(y.key)
+          if (c != 0) c else x.line.compareTo(y.line)
+        }
+      if (reverse) base.reversed else base
+    }
+
+    /** The streams' lines in order (Timsort, stable; only equal lines tie). */
+    def sorted(ss: List[Vector[String]]): Array[String] = {
+      val lines = new Array[String](ss.iterator.map(_.size).sum)
+      ss.foldLeft(0) { (at, v) => v.copyToArray(lines, at); at + v.size }
+      if (!numeric && keySpec.isEmpty)
+        java.util.Arrays.sort(lines, if (reverse) java.util.Comparator.reverseOrder[String]()
+                                     else java.util.Comparator.naturalOrder[String]())
+      else {
+        val keyed = lines.map(decorate)
+        java.util.Arrays.sort(keyed, keyedOrder)
+        var i = 0
+        while (i < keyed.length) { lines(i) = keyed(i).line; i += 1 }
+      }
+      lines
+    }
   }
 
-  /** Numeric value of a string's leading number (GNU sort -n semantics):
-    * optional blanks, optional sign, digits, optional fraction; else 0. */
-  private[cmds] def numPrefix(s: String): Double = {
-    val m = Pattern.compile("^\\s*(-?[0-9]+(\\.[0-9]*)?)").matcher(s)
-    if (m.find()) m.group(1).toDouble else 0.0
-  }
-
-  private def sortWhole(r: Resolved): Vector[String] => Vector[String] = {
-    val ord    = sortOrdering(r)
+  /** Sort on keys computed once; `-u` then drops each line equal to the
+    * one before it, which is every line the order calls equal. */
+  private def sortWhole(r: Resolved): List[Vector[String]] => Vector[String] = {
+    val sk     = new SortKey(r)
     val unique = r.flags.contains("-u")
-    v => {
-      val sorted = v.sorted(ord)
-      if (!unique) sorted
-      else sorted.foldLeft(Vector.empty[String]) { (acc, l) =>
-        if (acc.nonEmpty && ord.compare(acc.last, l) == 0) acc else acc :+ l
+    ss => {
+      val lines = sk.sorted(ss)
+      if (!unique) lines.toVector
+      else {
+        val out = Vector.newBuilder[String]
+        var i = 0
+        while (i < lines.length) {
+          if (i == 0 || lines(i) != lines(i - 1)) out += lines(i)
+          i += 1
+        }
+        out.result()
       }
     }
   }
 
   // ====================================================== misc machinery
 
-  private val UniqCountFmt = "%7d %s"
+  /** `"%7d %s".format(n, line)`: the count right-aligned in 7 columns. */
+  private def uniqCLine(n: Long, line: String): String = {
+    val digits = java.lang.Long.toString(n)
+    val sb     = new java.lang.StringBuilder(math.max(7, digits.length) + 1 + line.length)
+    var pad    = 7 - digits.length
+    while (pad > 0) { sb.append(' '); pad -= 1 }
+    sb.append(digits).append(' ').append(line).toString
+  }
 
   private def uniqWhole(r: Resolved): Vector[String] => Vector[String] = {
-    val count = r.flags.contains("-c")
+    val emit: (Long, String) => String =
+      if (r.flags.contains("-c")) uniqCLine else (_, l) => l
     v => {
       val out = Vector.newBuilder[String]
-      var cur: Option[String] = None
-      var n = 0
-      def flush(): Unit = cur.foreach { l =>
-        out += (if (count) UniqCountFmt.format(n, l) else l)
+      val it  = v.iterator
+      var cur: String = null
+      var n = 0L
+      while (it.hasNext) {
+        val l = it.next()
+        if (l == cur) n += 1
+        else {
+          if (cur != null) out += emit(n, cur)
+          cur = l; n = 1
+        }
       }
-      v.foreach { l =>
-        if (cur.contains(l)) n += 1
-        else { flush(); cur = Some(l); n = 1 }
-      }
-      flush()
+      if (cur != null) out += emit(n, cur)
       out.result()
     }
   }
@@ -242,8 +402,8 @@ object Kernels extends Serializable {
     val sel  = if (sel0.isEmpty) List("-l", "-w", "-c") else sel0
     v => {
       val l = v.size.toLong
-      lazy val w = v.iterator.map(_.trim.split("\\s+").count(_.nonEmpty).toLong).sum
-      lazy val c = v.iterator.map(_.length.toLong + 1).sum // + newline
+      lazy val w = v.foldLeft(0L)(_ + wordCount(_))
+      lazy val c = v.foldLeft(0L)(_ + _.length + 1) // + newline
       Vector(sel.map { case "-l" => l; case "-w" => w; case "-c" => c }
                 .mkString(" "))
     }
@@ -293,7 +453,7 @@ object Kernels extends Serializable {
       throw new IllegalArgumentException("awk: missing program")).trim
     def fields(line: String): Array[String] = fs match {
       case Some(s) => line.split(Pattern.quote(s), -1)
-      case None    => line.trim.split("\\s+")
+      case None    => blankFields(line)
     }
     def field(line: String, n: Int): String =
       if (n == 0) line else fields(line).lift(n - 1).getOrElse("")
@@ -335,8 +495,8 @@ object Kernels extends Serializable {
   }
 
   private def joinWhole(r: Resolved)(a: Vector[String], b: Vector[String]): Vector[String] = {
-    def key(l: String)  = l.trim.split("\\s+").headOption.getOrElse("")
-    def rest(l: String) = l.trim.split("\\s+").drop(1).mkString(" ")
+    def key(l: String)  = blankFields(l).head
+    def rest(l: String) = blankFields(l).drop(1).mkString(" ")
     val out = Vector.newBuilder[String]
     var i = 0
     var j = 0
@@ -374,18 +534,8 @@ object Kernels extends Serializable {
     case "tr"    => Some(_ => trLine(r))
     case "grep" if !r.flags.contains("-c") && !r.flags.contains("-n") =>
       Some { _ =>
-        val flags = (if (r.flags.contains("-i")) Pattern.CASE_INSENSITIVE else 0)
-        val p     = Pattern.compile(r.operands.headOption
-                      .orElse(r.flagVals.get("-e"))
-                      .getOrElse(throw new IllegalArgumentException("grep: no pattern")),
-                      flags)
-        val invert = r.flags.contains("-v")
-        val exact  = r.flags.contains("-x")
-        l => {
-          val m  = p.matcher(l)
-          val ok = if (exact) m.matches() else m.find()
-          if (ok ^ invert) Seq(l) else Seq.empty
-        }
+        val ok = grepMatch(r)
+        l => if (ok(l)) Seq(l) else Seq.empty
       }
     case "cut"      => Some(_ => cutLine(r))
     case "sed"      => Some(_ => sedLine(r))
@@ -444,6 +594,21 @@ object Kernels extends Serializable {
     case _       => None
   }
 
+  /** grep's line predicate: `-i`, `-v`, `-x` and the pattern. */
+  private def grepMatch(r: Resolved): String => Boolean = {
+    val flags  = if (r.flags.contains("-i")) Pattern.CASE_INSENSITIVE else 0
+    val p      = Pattern.compile(r.operands.headOption
+                   .orElse(r.flagVals.get("-e"))
+                   .getOrElse(throw new IllegalArgumentException("grep: no pattern")),
+                   flags)
+    val invert = r.flags.contains("-v")
+    val exact  = r.flags.contains("-x")
+    l => {
+      val m = p.matcher(l)
+      (if (exact) m.matches() else m.find()) ^ invert
+    }
+  }
+
   private def expandTabs(l: String): String = {
     val sb = new StringBuilder
     l.foreach {
@@ -493,7 +658,7 @@ object Kernels extends Serializable {
   /** Whole-stream kernel over the ordered streaming inputs. Defined for
     * every command our evaluation scripts use (any class). */
   def whole(r: Resolved): Ctx => List[Vector[String]] => Vector[String] = r.name match {
-    case "sort"  => _ => ss => sortWhole(r)(concat(ss))
+    case "sort"  => _ => sortWhole(r)
     case "uniq"  => _ => ss => uniqWhole(r)(concat(ss))
     case "wc"    => _ => ss => wcWhole(r)(concat(ss))
     case "head"  => _ => ss => concat(ss).take(headCount(r))
@@ -509,10 +674,9 @@ object Kernels extends Serializable {
       case (l, i) => "%6d\t%s".format(i + 1, l)
     }
     case "grep" if r.flags.contains("-c") =>
-      val inner = r.copy(flags = r.flags - "-c")
-      ctx => ss => {
-        val f = stateless(inner).get(ctx)
-        Vector(concat(ss).flatMap(f(_)).size.toString)
+      _ => ss => {
+        val ok = grepMatch(r)
+        Vector(ss.iterator.map(_.count(ok)).sum.toString)
       }
     case "comm" if !(r.flags.contains("-1") && r.flags.contains("-3")) &&
                    !(r.flags.contains("-2") && r.flags.contains("-3")) =>
@@ -592,8 +756,10 @@ object Kernels extends Serializable {
     * `aggN(key, r, parts.map(f)) == f(parts.flatten)` for its command `f`
     * (checked property-style in the test suite), so a whole aggregate tree
     * is one call over its leaves. `sort -m`, `uniq`, `head` and `tail` rerun
-    * their command on the concatenated parts, since `f(f(x)·f(y)) == f(x·y)`;
-    * `sort` is Timsort, whose run detection makes that a merge of sorted runs.
+    * their command on the concatenated parts, since `f(f(x)·f(y)) == f(x·y)`.
+    * For `sort -m` that is a keyed merge: the parts are sorted on `sort`'s
+    * own keys, each computed once per line, and Timsort finds the k sorted
+    * parts as k runs and merges them.
     */
   def aggN(key: String, r: Resolved, parts: List[Vector[String]]): Vector[String] =
     key match {
@@ -606,31 +772,35 @@ object Kernels extends Serializable {
         // adjacent payloads are distinct within each part, so count merges
         // happen exactly at part boundaries — one linear scan suffices
         val out = Vector.newBuilder[String]
-        var prev: Option[(Long, String)] = None
-        parts.foreach(_.foreach { line =>
-          val (c, l) = parseUniqC(line)
-          prev match {
-            case Some((cp, lp)) if lp == l => prev = Some((cp + c, l))
-            case Some((cp, lp)) =>
-              out += UniqCountFmt.format(cp, lp); prev = Some((c, l))
-            case None => prev = Some((c, l))
+        val it  = parts.iterator.flatMap(_.iterator)
+        var prev: String = null
+        var n = 0L
+        while (it.hasNext) {
+          val (c, l) = parseUniqC(it.next())
+          if (l == prev) n += c
+          else {
+            if (prev != null) out += uniqCLine(n, prev)
+            prev = l; n = c
           }
-        })
-        prev.foreach { case (c, l) => out += UniqCountFmt.format(c, l) }
+        }
+        if (prev != null) out += uniqCLine(n, prev)
         out.result()
       case "wc" | "sum" =>
         // one line of counts per part, summed column by column
-        parts.map(_.head.trim.split("\\s+").map(_.toLong))
+        parts.map(p => blankFields(p.head).map(_.toLong))
           .reduceOption((a, b) => a.zip(b).map { case (x, y) => x + y })
           .map(_.mkString(" ")).toVector
       case "tac" => concat(parts.reverse)
       case other => throw new IllegalArgumentException(s"unknown aggregator: $other")
     }
 
-  /** Parse a `uniq -c` output line into (count, payload). */
+  /** Parse a `uniq -c` output line into (count, payload): leading spaces,
+    * then digits (`Char.isDigit`), then one separator char. */
   def parseUniqC(line: String): (Long, String) = {
-    val t = line.dropWhile(_ == ' ')
-    val n = t.takeWhile(_.isDigit)
-    (n.toLong, t.drop(n.length + 1))
+    var i = 0
+    while (i < line.length && line.charAt(i) == ' ') i += 1
+    var j = i
+    while (j < line.length && line.charAt(j).isDigit) j += 1
+    (java.lang.Long.parseLong(line, i, j, 10), line.substring(math.min(j + 1, line.length)))
   }
 }

@@ -140,14 +140,17 @@ object AnnotationLib {
   ).map(a => a.name -> a).toMap
 
   /** Read-only fetches: under `xargs` a per-line map in any batching. */
-  private val readOnlyFetch: Set[String] = Set("curl", "wget")
+  private val readOnlyFetch: Set[String] = Set("curl", "wget", "cat")
 
   /** Resolve an invocation to its parallelizability view; a command
     * without a record is [[Annotations.opaque]].
     *
     * `xargs cmd args...` is higher-order (§3.2): its class is derived from
-    * the invoked command. Another pure command's output depends on the
-    * batch (`wc`'s `total` line), so it is (S) only under `-n 1`.
+    * the invoked command. Only a read-only fetch prints the same lines in
+    * any batching. Every other pure command's output depends on the batch
+    * (`wc`'s `total` line, GNU `grep`'s file-name prefix once a batch holds
+    * two files, GNU `file`'s padding to the batch's longest name), so it is
+    * (S) only under `-n 1`.
     */
   def resolve(name: String, args: List[String]): Resolved = records.get(name) match {
     case Some(a) if a.higherOrder =>
@@ -157,9 +160,10 @@ object AnnotationLib {
       val cls = inner match {
         case cmd :: innerArgs =>
           resolve(cmd, innerArgs).cls match {
-            case Stateless                        => Stateless
-            case Pure | NonParallel if oneEach    => Stateless
-            case _ if readOnlyFetch.contains(cmd) => Stateless
+            case SideEffectful                    => SideEffectful
+            case _ if oneEach                     => Stateless
+            // `cat -n` (P) numbers lines across the batch
+            case Stateless | NonParallel if readOnlyFetch.contains(cmd) => Stateless
             case _                                => SideEffectful
           }
         case Nil => SideEffectful

@@ -14,7 +14,9 @@ import Dfg._
   * like `"$base/$y"` expand during translation. A word whose expansion is
   * unknown makes its command the opaque (E) node — the region still builds
   * but the node is never parallelized. A first stage that reads the
-  * script's own stdin is rejected: a region has no edge for it.
+  * script's own stdin is rejected: a region has no edge for it. So are
+  * redirections the region cannot honour: `<` after a pipe, `>` before
+  * one, a target that does not expand, and two of a kind on one stage.
   */
 object Frontend {
 
@@ -67,12 +69,18 @@ object Frontend {
     val b = new Builder
     var prevOut: Option[Int] = None // stdout edge of the previous stage
 
-    stages.foreach {
-      case c: Cmd =>
+    stages.zipWithIndex.foreach {
+      case (c: Cmd, i) =>
         val r = resolveStage(c, env)
 
-        val redirIn  = c.redirs.collectFirst { case RedirIn(t)  => t.expand(env) }.flatten
-        val redirOut = c.redirs.collectFirst { case RedirOut(t) => t.expand(env) }.flatten
+        val redirIn  = redirTarget(c, env) { case RedirIn(t) => t }
+        val redirOut = redirTarget(c, env) { case RedirOut(t) => t }
+        if (redirIn.isDefined && i > 0)
+          throw new IllegalArgumentException(
+            s"${r.name}: `<` on a stage after a pipe replaces the pipe's input")
+        if (redirOut.isDefined && i < stages.size - 1)
+          throw new IllegalArgumentException(
+            s"${r.name}: `>` on a stage before a pipe leaves the next stage no input")
 
         // Static (configuration) inputs: replicated under parallelization.
         val staticEdges = r.inputs.collect {
@@ -112,9 +120,21 @@ object Frontend {
         b.addNode(CmdOp(r), staticEdges.toVector ++ streaming, Vector(outEdge))
         prevOut = Some(outEdge)
 
-      case other =>
+      case (other, _) =>
         throw new IllegalArgumentException(s"unsupported pipeline stage: $other")
     }
     b.result()
   }
+
+  /** The expanded target of a stage's one redirection of a kind. A target
+    * that does not expand, or a second redirection of the kind, raises:
+    * the region could neither read nor write the file `sh` would. */
+  private def redirTarget(c: Cmd, env: Map[String, String])(
+      kind: PartialFunction[Redir, Word]): Option[String] =
+    c.redirs.collect(kind) match {
+      case Nil      => None
+      case w :: Nil => Some(w.expand(env).getOrElse(
+        throw new IllegalArgumentException(s"redirection to a dynamic target: $w")))
+      case ws       => throw new IllegalArgumentException(s"several redirections: $ws")
+    }
 }

@@ -1,10 +1,16 @@
 package repro.cmds
 
+import java.util.regex.Pattern
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.AnnotationLib
+import repro.core.Annotations.Resolved
 import repro.cmds.Kernels.Ctx
 
-/** Unit semantics of every command kernel (hand-computed expectations). */
+/** Unit semantics of every command kernel (hand-computed expectations),
+  * and properties that the table-driven and decorate-once kernels equal
+  * the straightforward regex/`Set`/comparator definitions in [[KernelsRef]]. */
 class KernelsSpec extends AnyFunSuite {
 
   private val ctx = Ctx(Nil, _ => Vector.empty)
@@ -280,5 +286,275 @@ class KernelsSpec extends AnyFunSuite {
   test("parseRanges handles all forms") {
     assert(Kernels.parseRanges("1,3-5,-2,7-") ==
       List((1, 1), (3, 5), (1, 2), (7, Int.MaxValue)))
+  }
+
+  // ------------------------------------------- reference equivalence
+
+  import KernelsSpec._
+
+  private val params = Test.Parameters.default
+    .withInitialSeed(Seed(20211026L)).withMinSuccessfulTests(400).withWorkers(1)
+
+  private def check(p: Prop): Unit = {
+    val res = Test.check(params, p)
+    assert(res.passed, res.status.toString)
+  }
+
+  private def whole(r: Resolved, in: Vector[String]) = Kernels.whole(r)(ctx)(List(in))
+
+  test("property: numPrefix equals the regex definition") {
+    check(Prop.forAll(genLine)(l =>
+      java.lang.Double.compare(Kernels.numPrefix(l), KernelsRef.numPrefix(l)) == 0))
+  }
+  test("property: field splits equal split(\\s+) and split(Pattern.quote)") {
+    check(Prop.forAll(genLine, Gen.oneOf(':', ',', ' ', '\t', 'é')) { (l, c) =>
+      Kernels.blankFields(l).toList == l.trim.split("\\s+").toList &&
+      Kernels.splitOn(l, c).toList == l.split(Pattern.quote(c.toString), -1).toList
+    })
+  }
+  test("property: tr tables equal the Set[Char] definition") {
+    check(Prop.forAll(genTrArgs, genLines) { (args, in) =>
+      val r = AnnotationLib.resolve("tr", args)
+      whole(r, in) == in.flatMap(KernelsRef.trLine(r))
+    })
+  }
+  test("property: cut field scan equals split(Pattern.quote)") {
+    check(Prop.forAll(genCutArgs, genLines) { (args, in) =>
+      val r = AnnotationLib.resolve("cut", args)
+      whole(r, in) == in.flatMap(KernelsRef.cutLine(r))
+    })
+  }
+  test("property: wc -w and grep -c count like split and filter") {
+    check(Prop.forAll(genLines, Gen.oneOf("a", "^-?[0-9]", "\\s$", "é|中")) { (in, pat) =>
+      whole(AnnotationLib.resolve("wc", List("-w")), in) ==
+        Vector(in.map(KernelsRef.wordCount).sum.toString) &&
+      whole(AnnotationLib.resolve("grep", List("-c", pat)), in) ==
+        Vector(in.count(l => Pattern.compile(pat).matcher(l).find()).toString)
+    })
+  }
+  test("property: uniq -c and its aggregator equal the %7d %s definition") {
+    val r = AnnotationLib.resolve("uniq", List("-c"))
+    check(Prop.forAll(genRuns, genCuts) { (in, cuts) =>
+      val out   = whole(r, in)
+      val parts = cutInto(in, cuts).map(whole(r, _))
+      out == KernelsRef.uniqC(in) &&
+      out.forall(l => Kernels.parseUniqC(l) == KernelsRef.parseUniqC(l)) &&
+      Kernels.aggN("uniq-c", r, parts) == KernelsRef.aggUniqC(parts)
+    })
+  }
+  test("property: sort and sort -m equal today's comparator and Timsort merge") {
+    check(Prop.forAll(genSortArgs, genRuns, genCuts) { (args, in, cuts) =>
+      val r     = AnnotationLib.resolve("sort", args)
+      val parts = cutInto(in, cuts).map(whole(r, _))
+      whole(r, in) == KernelsRef.sort(r)(in) &&
+      Kernels.aggN("sort-m", r, parts) == KernelsRef.sort(r)(parts.flatten.toVector)
+    })
+  }
+}
+
+object KernelsSpec {
+
+  /** Lines built from tokens that stress each kernel's edge cases: blanks,
+    * tabs, control characters, signs, `.5`, a lone `-`, empty lines,
+    * 16+-digit numbers and non-ASCII letters and digits. */
+  private val tokens = Vector("", " ", "  ", "\t", "\u0001", "\u000b", "\f", "\r",
+    "\u001f", "\n", "-", "+", ".", ".5", "-.5", "5.", "-0", "0", "007", "12", "-3.25",
+    "1e3", "12345678901234567", "99999999999999999.5", "abc", "Zeta", "a", "b", ":",
+    ",", "é", "中", "\u0663", "ß")
+
+  val genLine: Gen[String] = Gen.oneOf(
+    Gen.choose(0, 6).flatMap(Gen.listOfN(_, Gen.oneOf(tokens))).map(_.mkString),
+    Gen.choose(0, 12).flatMap(Gen.listOfN(_, Gen.oneOf(tokens.flatten))).map(_.mkString))
+
+  val genLines: Gen[Vector[String]] =
+    Gen.choose(0, 30).flatMap(Gen.listOfN(_, genLine)).map(_.toVector)
+
+  /** Lines in runs of 1–3 equal lines, for `uniq -c` and `sort -u`. */
+  val genRuns: Gen[Vector[String]] =
+    Gen.choose(0, 20).flatMap(Gen.listOfN(_, Gen.zip(genLine, Gen.choose(1, 3))))
+      .map(_.toVector.flatMap { case (l, n) => Vector.fill(n)(l) })
+
+  val genCuts: Gen[List[Int]] = Gen.choose(0, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 60)))
+
+  def cutInto(v: Vector[String], cuts: List[Int]): List[Vector[String]] = {
+    val bounds = 0 :: cuts.map(_ min v.size).sorted ::: List(v.size)
+    bounds.zip(bounds.tail).map { case (a, b) => v.slice(a, b) }
+  }
+
+  private val genFlags: Gen[List[String]] =
+    Gen.someOf("c", "s", "d").map(fs => if (fs.isEmpty) Nil else List(fs.mkString("-", "", "")))
+
+  private val genSet: Gen[String] =
+    Gen.choose(1, 3).flatMap(Gen.listOfN(_, Gen.oneOf("a-z", "A-Z", "0-9", " ", "\\n",
+      "\\t", ":", "é", "x", "-", ".", "\u0001"))).map(_.mkString).map(s =>
+      if (s.startsWith("-")) "x" + s else s)
+
+  val genTrArgs: Gen[List[String]] = for {
+    flags <- genFlags
+    set1  <- genSet
+    set2  <- Gen.option(genSet)
+  } yield flags ++ (set1 :: set2.toList)
+
+  private val genRanges: Gen[String] = Gen.choose(1, 3).flatMap(Gen.listOfN(_,
+    Gen.oneOf(
+      Gen.choose(1, 6).map(_.toString),
+      Gen.zip(Gen.choose(1, 6), Gen.choose(1, 6)).map { case (a, b) => s"$a-$b" },
+      Gen.choose(1, 6).map(b => s"-$b"),
+      Gen.choose(1, 6).map(a => s"$a-")))).map(_.mkString(","))
+
+  val genCutArgs: Gen[List[String]] = Gen.oneOf(
+    genRanges.map(rs => List("-c", rs)),
+    for {
+      d  <- Gen.oneOf(":", ",", " ", "\t", "é", ".")
+      rs <- genRanges
+      s  <- Gen.oneOf(List("-s"), Nil)
+    } yield s ++ List("-d", d, "-f", rs))
+
+  val genSortArgs: Gen[List[String]] = for {
+    flags <- Gen.someOf("-n", "-r", "-u")
+    key   <- Gen.option(Gen.oneOf(
+               Gen.choose(1, 3).map(_.toString),
+               Gen.zip(Gen.choose(1, 3), Gen.choose(1, 4)).map { case (a, b) => s"$a,$b" }))
+    sep   <- Gen.option(Gen.oneOf(":", ",", " ", "\t"))
+  } yield flags.toList ++ key.toList.flatMap(k => List("-k", k)) ++
+          sep.toList.flatMap(t => List("-t", t))
+}
+
+/** Kernel definitions as they stood before the table-driven rewrite: one
+  * regex, `Set` or comparator call per line or per comparison. */
+object KernelsRef {
+
+  def numPrefix(s: String): Double = {
+    val m = Pattern.compile("^\\s*(-?[0-9]+(\\.[0-9]*)?)").matcher(s)
+    if (m.find()) m.group(1).toDouble else 0.0
+  }
+
+  def trLine(r: Resolved): String => Seq[String] = {
+    val comp    = r.flags.contains("-c")
+    val squeeze = r.flags.contains("-s")
+    val delete  = r.flags.contains("-d")
+    val set1    = Kernels.expandSet(r.operands.headOption.getOrElse(""))
+    val set2    = r.operands.lift(1).map(Kernels.expandSet).getOrElse("")
+    val in1     = set1.toSet
+    line => {
+      val sb = new StringBuilder
+      var last: Int = -1
+      line.foreach { ch =>
+        val member = in1.contains(ch) ^ comp
+        if (delete) {
+          if (!member) sb += ch
+        } else if (set2.nonEmpty && member) {
+          val mapped =
+            if (comp) set2.last
+            else set2.charAt(math.min(set1.indexOf(ch), set2.length - 1))
+          if (!(squeeze && last == mapped.toInt)) sb += mapped
+          last = mapped.toInt
+        } else if (squeeze && set2.isEmpty && member) {
+          if (last != ch.toInt) sb += ch
+          last = ch.toInt
+        } else { sb += ch; last = -1 }
+      }
+      val out = sb.toString
+      if (out.contains('\n')) out.split("\n", -1).toSeq.filter(_.nonEmpty)
+      else Seq(out)
+    }
+  }
+
+  def cutLine(r: Resolved): String => Seq[String] =
+    if (r.flagVals.contains("-c")) {
+      val ranges = Kernels.parseRanges(r.flagVals("-c"))
+      line => Seq(ranges.map { case (a, b) =>
+        val from = math.min(a - 1, line.length)
+        val to   = math.min(b, line.length)
+        if (from < to) line.substring(from, to) else ""
+      }.mkString)
+    } else {
+      val delim  = r.flagVals.getOrElse("-d", "\t").headOption.getOrElse('\t')
+      val ranges = Kernels.parseRanges(r.flagVals.getOrElse("-f", "1"))
+      val onlyDelimited = r.flags.contains("-s")
+      line =>
+        if (!line.contains(delim)) { if (onlyDelimited) Seq.empty else Seq(line) }
+        else {
+          val fields = line.split(Pattern.quote(delim.toString), -1)
+          val keep = fields.zipWithIndex.collect {
+            case (f, i) if ranges.exists { case (a, b) => i + 1 >= a && i + 1 <= b } => f
+          }
+          Seq(keep.mkString(delim.toString))
+        }
+    }
+
+  def wordCount(l: String): Long = l.trim.split("\\s+").count(_.nonEmpty).toLong
+
+  def uniqC(v: Vector[String]): Vector[String] = {
+    val out = Vector.newBuilder[String]
+    var cur: Option[String] = None
+    var n = 0
+    def flush(): Unit = cur.foreach(l => out += "%7d %s".format(n, l))
+    v.foreach { l =>
+      if (cur.contains(l)) n += 1
+      else { flush(); cur = Some(l); n = 1 }
+    }
+    flush()
+    out.result()
+  }
+
+  def parseUniqC(line: String): (Long, String) = {
+    val t = line.dropWhile(_ == ' ')
+    val n = t.takeWhile(_.isDigit)
+    (n.toLong, t.drop(n.length + 1))
+  }
+
+  def aggUniqC(parts: List[Vector[String]]): Vector[String] = {
+    val out = Vector.newBuilder[String]
+    var prev: Option[(Long, String)] = None
+    parts.foreach(_.foreach { line =>
+      val (c, l) = parseUniqC(line)
+      prev match {
+        case Some((cp, lp)) if lp == l => prev = Some((cp + c, l))
+        case Some((cp, lp)) => out += "%7d %s".format(cp, lp); prev = Some((c, l))
+        case None => prev = Some((c, l))
+      }
+    })
+    prev.foreach { case (c, l) => out += "%7d %s".format(c, l) }
+    out.result()
+  }
+
+  /** `v.sorted` under the per-comparison comparator, then the `-u` fold;
+    * on concatenated sorted parts this is also the Timsort `sort -m`. */
+  def sort(r: Resolved): Vector[String] => Vector[String] = {
+    val numeric = r.flags.contains("-n")
+    val sep     = r.flagVals.get("-t").flatMap(_.headOption)
+    val keySpec = r.flagVals.get("-k").map { spec =>
+      spec.split(',') match {
+        case Array(a)    => (a.takeWhile(_.isDigit).toInt, Int.MaxValue)
+        case Array(a, b) => (a.takeWhile(_.isDigit).toInt, b.takeWhile(_.isDigit).toInt)
+        case _           => (1, Int.MaxValue)
+      }
+    }
+    def fields(line: String): Array[String] = sep match {
+      case Some(c) => line.split(Pattern.quote(c.toString), -1)
+      case None    => line.trim.split("\\s+")
+    }
+    def keyOf(line: String): String = keySpec match {
+      case None => line
+      case Some((a, b)) =>
+        val fs = fields(line)
+        fs.slice(a - 1, if (b == Int.MaxValue) fs.length else b).mkString(" ")
+    }
+    val base: Ordering[String] = (x: String, y: String) => {
+      val (kx, ky) = (keyOf(x), keyOf(y))
+      val primary =
+        if (numeric) java.lang.Double.compare(numPrefix(kx), numPrefix(ky))
+        else kx.compareTo(ky)
+      if (primary != 0) primary else x.compareTo(y)
+    }
+    val ord = if (r.flags.contains("-r")) base.reverse else base
+    v => {
+      val sorted = v.sorted(ord)
+      if (!r.flags.contains("-u")) sorted
+      else sorted.foldLeft(Vector.empty[String]) { (acc, l) =>
+        if (acc.nonEmpty && ord.compare(acc.last, l) == 0) acc else acc :+ l
+      }
+    }
   }
 }

@@ -103,6 +103,18 @@ class AnnotationSpec extends AnyFunSuite {
 
   test("xargs of a stateless command is stateless") {
     assert(cls("xargs", "-n", "1", "wc", "-l") == Stateless)
+    assert(cls("xargs", "-n", "1", "grep", "x") == Stateless)
+    assert(cls("xargs", "-n", "1", "file") == Stateless)
+  }
+  test("xargs of a batch-sensitive stateless command needs -n 1") {
+    // GNU grep prefixes file names once a batch holds two files; GNU file
+    // pads names to the batch's longest
+    assert(cls("xargs", "grep", "x") == SideEffectful)
+    assert(cls("xargs", "file") == SideEffectful)
+    assert(cls("xargs", "-n", "2", "grep", "x") == SideEffectful)
+    assert(cls("xargs", "cat") == Stateless)  // contents concatenate
+    assert(cls("xargs", "cat", "-n") == SideEffectful) // numbering spans the batch
+    assert(cls("xargs", "wget", "-q") == Stateless)
   }
   test("xargs curl is stateless (read-only fetch)") {
     assert(cls("xargs", "-n", "1", "curl", "-s") == Stateless)

@@ -60,6 +60,15 @@ class ParserSpec extends AnyFunSuite {
       Cmd(Lit("sort"), Nil, List(RedirIn(Lit("in")), RedirOut(Lit("out")))))
   }
 
+  test("a redirection stays on its own pipeline stage") {
+    // the frontend, not the parser, rejects `<` after a pipe
+    assert(p("cat a | grep x < b") == Pipe(List(
+      Cmd(Lit("cat"), List(Lit("a"))),
+      Cmd(Lit("grep"), List(Lit("x")), List(RedirIn(Lit("b")))))))
+    assert(p("wc -l > $out") ==
+      Cmd(Lit("wc"), List(Lit("-l")), List(RedirOut(VarRef("out")))))
+  }
+
   test("append redirection") {
     // the frontend has only overwriting sinks: `>>` would compile to `>`
     intercept[Parser.ParseError](p("x >> log"))

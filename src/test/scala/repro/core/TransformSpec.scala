@@ -128,6 +128,20 @@ class TransformSpec extends AnyFunSuite {
     assert(regions("echo hi | wc -l").head.inputs.isEmpty)
   }
 
+  test("redirections a region cannot honour are rejected") {
+    List("cat a | grep x < b",            // sh makes grep read b, not the pipe
+         "cat a | wc -l > $undefined",    // the sink would silently be stdout
+         "cat a < $undefined",
+         "cat a > out.txt | wc -l",       // sh leaves wc an empty input
+         "cat a | sort > x.txt > y.txt",
+         "grep x < a < b | wc -l").foreach { src =>
+      intercept[IllegalArgumentException](regions(src))
+    }
+    assert(regions("grep x < a | sort > out.txt").head.outputs.flatMap(_.sink) ==
+      List("out.txt"))
+    repro.bench.Scripts.all.foreach(b => assert(regions(b.script).nonEmpty, b.name))
+  }
+
   test("static inputs are replicated to every replica (comm -13)") {
     val g = par("cat f | sort -u | comm -13 dict.txt -", 4)
     val statics = g.edges.values.filter(_.static)
@@ -153,7 +167,7 @@ class TransformSpec extends AnyFunSuite {
   test("Tab. 2 #Nodes(16,64) of the ten one-liners") {
     val expected = Map(
       "nfa-regex" -> (64, 256), "sort" -> (78, 318), "top-n" -> (280, 1144),
-      "wf" -> (218, 890), "spell" -> (158, 638), "shortest-scripts" -> (188, 764),
+      "wf" -> (218, 890), "spell" -> (158, 638), "shortest-scripts" -> (205, 829),
       "difference" -> (219, 891), "set-difference" -> (188, 764),
       "bi-grams" -> (190, 766), "sort-sort" -> (140, 572))
     val got = repro.bench.Scripts.oneLiners.map { b =>
