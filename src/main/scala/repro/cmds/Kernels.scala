@@ -283,15 +283,17 @@ object Kernels extends Serializable {
     * (the line itself without `-k`) and, under `-n`, its number. */
   private final class Keyed(val key: String, val num: Double, val line: String)
 
-  /** GNU-sort-style order from flags: -n, -r, -k F[,M], -t SEP; ties fall
-    * back to full-line comparison (last resort, like GNU without -s), so
-    * only equal lines compare equal. Each line's key is computed once:
-    * without `-n`/`-k` the line is its own key (String natural order),
-    * otherwise the line is decorated as a [[Keyed]]. `sort`, `sort -u` and
-    * the `sort-m` aggregator all sort through [[sorted]]. */
+  /** GNU-sort-style order from flags: -n, -r, -u, -k F[,M], -t SEP; ties
+    * fall back to full-line comparison (last resort, like GNU without -s),
+    * except under `-u` with `-n` or `-k`, where GNU compares keys only.
+    * Under `-n`, `-0` equals `0`. Each line's key is computed once: without
+    * `-n`/`-k` the line is its own key (String natural order), otherwise
+    * the line is decorated as a [[Keyed]]. `sort`, `sort -u` and the
+    * `sort-m` aggregator all sort through [[sorted]]. */
   private final class SortKey(r: Resolved) {
     private val numeric = r.flags.contains("-n")
     private val reverse = r.flags.contains("-r")
+    private val unique  = r.flags.contains("-u")
     private val sep     = r.flagVals.get("-t").flatMap(_.headOption)
     private val keySpec = r.flagVals.get("-k").map { spec =>
       spec.split(',') match {
@@ -317,50 +319,45 @@ object Kernels extends Serializable {
     private val keyedOrder: java.util.Comparator[Keyed] = {
       val base: java.util.Comparator[Keyed] =
         if (numeric) (x, y) => {
-          val c = java.lang.Double.compare(x.num, y.num)
-          if (c != 0) c else x.line.compareTo(y.line)
+          val c = if (x.num < y.num) -1 else if (x.num > y.num) 1 else 0
+          if (c != 0 || unique) c else x.line.compareTo(y.line)
         }
         else (x, y) => {
           val c = x.key.compareTo(y.key)
-          if (c != 0) c else x.line.compareTo(y.line)
+          if (c != 0 || unique) c else x.line.compareTo(y.line)
         }
       if (reverse) base.reversed else base
     }
 
-    /** The streams' lines in order (Timsort, stable; only equal lines tie). */
-    def sorted(ss: List[Vector[String]]): Array[String] = {
+    /** The streams' lines in order (Timsort, stable); `-u` keeps the first
+      * line of each run that the order calls equal. */
+    def sorted(ss: List[Vector[String]]): Vector[String] = {
       val lines = new Array[String](ss.iterator.map(_.size).sum)
       ss.foldLeft(0) { (at, v) => v.copyToArray(lines, at); at + v.size }
-      if (!numeric && keySpec.isEmpty)
+      var n = lines.length // lines kept, moved to the front of `lines`
+      var i = 0
+      if (!numeric && keySpec.isEmpty) {
         java.util.Arrays.sort(lines, if (reverse) java.util.Comparator.reverseOrder[String]()
                                      else java.util.Comparator.naturalOrder[String]())
-      else {
+        if (unique) {
+          n = 0
+          while (i < lines.length) {
+            if (n == 0 || lines(i) != lines(n - 1)) { lines(n) = lines(i); n += 1 }
+            i += 1
+          }
+        }
+      } else {
         val keyed = lines.map(decorate)
         java.util.Arrays.sort(keyed, keyedOrder)
-        var i = 0
-        while (i < keyed.length) { lines(i) = keyed(i).line; i += 1 }
-      }
-      lines
-    }
-  }
-
-  /** Sort on keys computed once; `-u` then drops each line equal to the
-    * one before it, which is every line the order calls equal. */
-  private def sortWhole(r: Resolved): List[Vector[String]] => Vector[String] = {
-    val sk     = new SortKey(r)
-    val unique = r.flags.contains("-u")
-    ss => {
-      val lines = sk.sorted(ss)
-      if (!unique) lines.toVector
-      else {
-        val out = Vector.newBuilder[String]
-        var i = 0
-        while (i < lines.length) {
-          if (i == 0 || lines(i) != lines(i - 1)) out += lines(i)
+        n = 0
+        while (i < keyed.length) {
+          if (!unique || i == 0 || keyedOrder.compare(keyed(i - 1), keyed(i)) != 0) {
+            lines(n) = keyed(i).line; n += 1
+          }
           i += 1
         }
-        out.result()
       }
+      (if (n == lines.length) lines else lines.take(n)).toVector
     }
   }
 
@@ -482,16 +479,22 @@ object Kernels extends Serializable {
     Vector(md.digest().map("%02x".format(_)).mkString + "  -")
   }
 
-  /** Trimmed-prefix/suffix structural diff: deterministic, order-preserving
-    * (a simplification of Myers diff — documented in DESIGN.md). */
+  /** Trimmed-prefix/suffix structural diff in GNU's normal format: one hunk
+    * spans everything between the common prefix and the common suffix
+    * (a simplification of Myers diff, DESIGN.md §2 "Substitutions"). Its
+    * change command is `l1[,l2]{a,c,d}r1[,r2]`, as GNU prints it. */
   private def diffWhole(a: Vector[String], b: Vector[String]): Vector[String] = {
     var lo = 0
     while (lo < a.size && lo < b.size && a(lo) == b(lo)) lo += 1
     var hiA = a.size; var hiB = b.size
     while (hiA > lo && hiB > lo && a(hiA - 1) == b(hiB - 1)) { hiA -= 1; hiB -= 1 }
-    a.slice(lo, hiA).map("< " + _) ++
-      (if (hiA > lo && hiB > lo) Vector("---") else Vector.empty) ++
-      b.slice(lo, hiB).map("> " + _)
+    // 1-based lines lo+1..hi, or the line before an empty range
+    def range(hi: Int) = if (hi == lo) s"$lo" else if (hi == lo + 1) s"$hi" else s"${lo + 1},$hi"
+    val cmd = if (hiA == lo) "a" else if (hiB == lo) "d" else "c"
+    if (hiA == lo && hiB == lo) Vector.empty
+    else (range(hiA) + cmd + range(hiB)) +: (a.slice(lo, hiA).map("< " + _) ++
+      (if (cmd == "c") Vector("---") else Vector.empty) ++
+      b.slice(lo, hiB).map("> " + _))
   }
 
   private def joinWhole(r: Resolved)(a: Vector[String], b: Vector[String]): Vector[String] = {
@@ -658,7 +661,7 @@ object Kernels extends Serializable {
   /** Whole-stream kernel over the ordered streaming inputs. Defined for
     * every command our evaluation scripts use (any class). */
   def whole(r: Resolved): Ctx => List[Vector[String]] => Vector[String] = r.name match {
-    case "sort"  => _ => sortWhole(r)
+    case "sort"  => _ => new SortKey(r).sorted
     case "uniq"  => _ => ss => uniqWhole(r)(concat(ss))
     case "wc"    => _ => ss => wcWhole(r)(concat(ss))
     case "head"  => _ => ss => concat(ss).take(headCount(r))

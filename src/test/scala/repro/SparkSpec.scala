@@ -21,8 +21,6 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       // PaSh-repro: line-stream shuffles move millions of tiny records;
       // Kryo roughly halves their serialization cost vs Java serialization
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer")

@@ -121,12 +121,17 @@ class KernelsSpec extends AnyFunSuite {
   }
   test("sort -u dedups") {
     assert(run("sort", List("-u"), Vector("b", "a", "b")) == Vector("a", "b"))
+    // under -n or -k, lines whose keys tie are equal: the first in input order stays (GNU)
+    assert(run("sort", List("-nu"), Vector("1 b", "1 a", "2 c")) == Vector("1 b", "2 c"))
+    assert(run("sort", List("-u", "-k2"), Vector("x 1", "y 1")) == Vector("x 1"))
+    assert(run("sort", List("-nu"), Vector("-0", "0")) == Vector("-0"))
   }
   test("sort -k 2 sorts on the second field") {
     assert(run("sort", List("-k", "2"), Vector("x b", "y a")) == Vector("y a", "x b"))
   }
   test("sort -n ties fall back to whole line") {
     assert(run("sort", List("-n"), Vector("7 b", "7 a")) == Vector("7 a", "7 b"))
+    assert(run("sort", List("-n"), Vector("-0", " 0")) == Vector(" 0", "-0")) // -0 == 0
   }
 
   // --------------------------------------------------------- uniq and wc
@@ -252,9 +257,12 @@ class KernelsSpec extends AnyFunSuite {
     assert(Kernels.whole(r)(ctx)(List(Vector("x"), Vector("x"))).isEmpty)
   }
   test("diff marks sides") {
+    // expected outputs are GNU diff's on the same two files
     val r = AnnotationLib.resolve("diff", List("a", "b"))
-    val out = Kernels.whole(r)(ctx)(List(Vector("x", "q"), Vector("x", "z")))
-    assert(out == Vector("< q", "---", "> z"))
+    def diff(a: String*)(b: String*) = Kernels.whole(r)(ctx)(List(a.toVector, b.toVector))
+    assert(diff("x", "q")("x", "z") == Vector("2c2", "< q", "---", "> z"))
+    assert(diff("a", "b")("a", "x", "y", "b") == Vector("1a2,3", "> x", "> y"))
+    assert(diff("a", "b", "c", "d")("a", "d") == Vector("2,3d1", "< b", "< c"))
   }
   test("html-to-text strips tags") {
     assert(run("html-to-text", Nil,
@@ -519,8 +527,9 @@ object KernelsRef {
     out.result()
   }
 
-  /** `v.sorted` under the per-comparison comparator, then the `-u` fold;
-    * on concatenated sorted parts this is also the Timsort `sort -m`. */
+  /** `v.sorted` (stable) under the per-comparison comparator, then the `-u`
+    * fold, which keeps the first of each equal run; on concatenated sorted
+    * parts this is also the Timsort `sort -m`. */
   def sort(r: Resolved): Vector[String] => Vector[String] = {
     val numeric = r.flags.contains("-n")
     val sep     = r.flagVals.get("-t").flatMap(_.headOption)
@@ -541,12 +550,14 @@ object KernelsRef {
         val fs = fields(line)
         fs.slice(a - 1, if (b == Int.MaxValue) fs.length else b).mkString(" ")
     }
+    // GNU: `-u` with `-n` or `-k` drops the whole-line last resort; -0 == 0
+    val keyOnly = r.flags.contains("-u") && (numeric || keySpec.isDefined)
     val base: Ordering[String] = (x: String, y: String) => {
       val (kx, ky) = (keyOf(x), keyOf(y))
       val primary =
-        if (numeric) java.lang.Double.compare(numPrefix(kx), numPrefix(ky))
+        if (numeric) { val (a, b) = (numPrefix(kx), numPrefix(ky)); if (a < b) -1 else if (a > b) 1 else 0 }
         else kx.compareTo(ky)
-      if (primary != 0) primary else x.compareTo(y)
+      if (primary != 0 || keyOnly) primary else x.compareTo(y)
     }
     val ord = if (r.flags.contains("-r")) base.reverse else base
     v => {
