@@ -1,5 +1,8 @@
 package repro.exec
 
+import scala.reflect.ClassTag
+
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -22,36 +25,53 @@ import repro.core.PClass
   *  - (P)/(N) node → whole-stream kernel in ONE task over its inputs
   *    (Spark's analogue of PaSh's single aggregator process);
   *  - map replica  → whole-stream kernel over its chunk;
-  *  - aggregate    → one n-ary merge task over the leaves of the maximal
-  *    same-key aggregate tree;
-  *  - `split`      → one job caches the input and counts its lines, then
-  *    each output reads only its contiguous slice of the cached blocks
-  *    (faithful to PaSh's line-counting split, which also consumes its
-  *    whole input before dispersing it);
+  *  - aggregate    → one n-ary merge over the leaves of the maximal
+  *    same-key aggregate tree: in ONE task, or on the driver when the
+  *    tree's root is a graph output;
+  *  - `split`      → the input as ONE cached block; each output's task
+  *    keeps its contiguous slice of it (faithful to PaSh's line-counting
+  *    split, which also consumes its whole input before dispersing it);
   *  - relay        → identity (Spark tasks have no shell laziness; the
   *    eager/blocking distinction is studied on the discrete-event
   *    simulator instead — DESIGN.md).
   *
-  * Stage boundaries cache each partition as ONE `Array[String]` block
-  * (`MEMORY_AND_DISK`) and compute the cached streams in ONE parallel job,
-  * so each chunk's upstream kernel chain runs as its own task. A gathering
-  * task then reads the blocks in order, bucketed by stream index.
+  * Jobs are few, because each one costs the driver milliseconds: a region
+  * runs one job per aggregate tree (caching the tree's leaves, one task
+  * per chunk), plus one job that collects its outputs. A merge or a split
+  * runs inside the tasks that read it. Every function handed to Spark is
+  * a named class (`TaskFns.scala`), so Spark's closure cleaner skips it.
   *
   * The *sequential baseline* is the untransformed DFG: every node sees a
   * 1-partition stream, nothing is cached, and the whole region collapses
-  * into a single-core task chain, like `sh` on one CPU.
+  * into a single-core task chain, like `sh` on one CPU: one job.
   */
 final class SparkExec(spark: SparkSession, store: Store) {
+  import SparkExec._
 
   private val sc = spark.sparkContext
 
   private val persisted = collection.mutable.ListBuffer.empty[RDD[_]]
 
-  /** Each partition of `s` as ONE array, cached if `cache`: Spark's
-    * MemoryStore then holds one object per partition instead of unrolling
-    * line by line. */
+  /** DFG node ids whose work an RDD's lineage runs, by RDD id, and the ids
+    * an earlier job of the region already ran: together they name each job
+    * (`setJobDescription`), so a listener can attribute it. */
+  private val nodesOf = collection.mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
+  private val done    = collection.mutable.Set.empty[Int]
+
+  /** ONE Spark job over every partition of `rdd`, described by the nodes
+    * whose work it runs for the first time: those of `streams`' lineage. */
+  private def runJob[T, U: ClassTag](rdd: RDD[T], streams: Seq[RDD[_]],
+                                     f: (TaskContext, Iterator[T]) => U): Array[U] = {
+    val ids = streams.flatMap(s => nodesOf(s.id)).toSet -- done
+    sc.setJobDescription(s"DFG nodes ${ids.toList.sorted.mkString(",")}")
+    try sc.runJob(rdd, f, 0 until rdd.getNumPartitions)
+    finally { sc.setJobDescription(null); done ++= ids }
+  }
+
+  /** Each partition of `s` as ONE array, cached if `cache`. */
   private def blocksOf(s: RDD[String], cache: Boolean): RDD[Array[String]] = {
-    val b = s.mapPartitions(it => Iterator.single(it.toArray), preservesPartitioning = true)
+    val b = s.mapPartitions(ToBlock, preservesPartitioning = true)
+    nodesOf(b.id) = nodesOf(s.id)
     if (cache) persisted += b.persist(StorageLevel.MEMORY_AND_DISK)
     b
   }
@@ -63,25 +83,24 @@ final class SparkExec(spark: SparkSession, store: Store) {
   private def inOneTask(streams: List[RDD[String]], cacheAll: Boolean)
                        (f: List[Vector[String]] => Vector[String]): RDD[String] = {
     if (!cacheAll && streams.size == 1 && streams.head.getNumPartitions == 1)
-      return streams.head.mapPartitions(it => f(List(it.toVector)).iterator)
+      return streams.head.mapPartitions(Whole(f))
     val blocks = streams.map(s => blocksOf(s, cacheAll || s.getNumPartitions > 1))
     val cached = blocks.filter(_.getStorageLevel != StorageLevel.NONE)
-    if (cached.nonEmpty) sc.union(cached).count()
-    val nStreams = streams.size
-    val tagged = blocks.zipWithIndex.map { case (b, i) => b.map((i, _)) }
+    if (cached.nonEmpty) runJob(sc.union(cached), cached, BlockLines)
+    val tagged = blocks.zipWithIndex.map { case (b, i) => b.map(Tag(i)) }
     val one = if (tagged.isEmpty) sc.parallelize(Seq.empty[(Int, Array[String])], 1)
               else sc.union(tagged).coalesce(1)
-    one.mapPartitions { it =>
-      val buckets = Array.fill(nStreams)(Vector.newBuilder[String])
-      it.foreach { case (i, b) => buckets(i) ++= b }
-      f(buckets.map(_.result()).toList).iterator
-    }
+    one.mapPartitions(Gather(streams.size, f))
   }
 
-  /** Evaluate a region; returns stdout/file-sink RDDs (not yet collected). */
-  def eval(g: Graph): (List[RDD[String]], Map[String, RDD[String]]) = {
-    val fetch  = store.fetchFn
-    val values = collection.mutable.Map.empty[Int, RDD[String]]
+  /** Evaluate a region. Each graph output comes back as the ordered RDDs to
+    * collect and the driver-side function that turns their lines into the
+    * output: the concatenation, or the n-ary merge of an aggregate tree. */
+  private def eval(g: Graph): List[(DEdge, Output)] = {
+    lazy val fetch = store.fetchFn
+    val values   = collection.mutable.Map.empty[Int, RDD[String]]
+    val upstream = collection.mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
+    val merged   = collection.mutable.Map.empty[Int, Output]
 
     def edgeIn(e: DEdge): RDD[String] = e.src match {
       case Some(SrcFile(f))           => store.rdd(f)
@@ -90,10 +109,8 @@ final class SparkExec(spark: SparkSession, store: Store) {
     }
 
     // Maximal same-key aggregate trees are evaluated at their root as ONE
-    // n-ary merge task (Kernels.aggN) — the map replicas upstream become
-    // one parallel stage and the whole merge is a single pass instead of a
-    // cascade of pairwise merges. Internal tree aggs (and the relays wired
-    // between levels) are skipped.
+    // n-ary merge (Kernels.aggN) over the tree's leaves; internal tree aggs
+    // (and the relays wired between levels) are skipped.
     val aggTrees = g.aggTrees
 
     g.topo.foreach { n =>
@@ -102,52 +119,53 @@ final class SparkExec(spark: SparkSession, store: Store) {
       val statics = inEdges.filter(_.static).map(e => e.src match {
         case Some(SrcFile(f))           => store.fetch(f)
         case Some(SrcFilePart(f, i, o)) => store.fetchPart(f, i, o)
-        case None                       => values(e.id).collect().toVector
+        case None                       =>
+          val v = values(e.id)
+          runJob(v, List(v), ToArray).iterator.flatten.toVector
       }).toList
       val streams = inEdges.filterNot(_.static).map(edgeIn).toList
-      val ctx     = Ctx(statics, fetch)
+      // only xargs and file read store files in a task; others ship no files
+      val ctx = Ctx(statics, n.op match {
+        case CmdOp(r) if ReadsStore(r.name) => fetch
+        case MapOp(r) if ReadsStore(r.name) => fetch
+        case _                              => NoFetch
+      })
 
       val outs: Vector[RDD[String]] = n.op match {
         case CmdOp(r) if r.cls == PClass.Stateless =>
-          // parallel per-line kernel across all chunk partitions
-          val in = streams.head
-          Kernels.stateless(r) match {
-            case Some(mk) =>
-              Vector(in.mapPartitions({ it =>
-                val f = mk(ctx); it.flatMap(l => f(l))
-              }, preservesPartitioning = true))
-            case None =>
-              // stateless law ⇒ whole-kernel per partition is equivalent
-              Vector(in.mapPartitions({ it =>
-                Kernels.whole(r)(ctx)(List(it.toVector)).iterator
-              }, preservesPartitioning = true))
+          // parallel per-line kernel across all chunk partitions; with no
+          // per-line kernel, the stateless law makes a whole kernel per
+          // partition equivalent
+          val perPartition = Kernels.stateless(r) match {
+            case Some(mk) => PerLine(mk, ctx)
+            case None     => Whole(WholeKernel(r, ctx))
           }
-        case CmdOp(r) => Vector(inOneTask(streams, cacheAll = false)(Kernels.whole(r)(ctx)(_)))
-        case MapOp(r) => Vector(inOneTask(streams, cacheAll = false)(Kernels.whole(r)(ctx)(_)))
+          Vector(streams.head.mapPartitions(perPartition, preservesPartitioning = true))
+        case CmdOp(r) => Vector(inOneTask(streams, cacheAll = false)(WholeKernel(r, ctx)))
+        case MapOp(r) => Vector(inOneTask(streams, cacheAll = false)(WholeKernel(r, ctx)))
         case AggOp(key, r) =>
           aggTrees.get(n.id) match {
             case None => Vector(null) // folded into the tree root's n-ary merge
             case Some(leafEdges) =>
-              // every map replica must be computed in the one parallel job:
-              // left to the merge task, they would run one after another in it
               val leaves = leafEdges.toList.map(e => edgeIn(g.edges(e)))
-              Vector(inOneTask(leaves, cacheAll = true)(Kernels.aggN(key, r, _)))
+              if (g.edges(n.outs.head).to.isEmpty) {
+                // a graph output: the driver merges the leaves it collects
+                merged(n.outs.head) = Output(leaves, AggKernel(key, r))
+                Vector(null)
+              } else {
+                // every map replica must be computed in the one parallel
+                // job: left to the merge task, they would run one by one
+                Vector(inOneTask(leaves, cacheAll = true)(AggKernel(key, r)))
+              }
           }
         case SplitOp(w) =>
-          // PaSh's split counts lines first: one job caches the input and
-          // collects its block sizes; output i reads only lines [lo, hi)
-          val in     = blocksOf(streams.head, cache = true)
-          val starts = in.map(_.length.toLong).collect().scanLeft(0L)(_ + _)
-          val n0     = starts.last
-          Vector.tabulate(w) { i =>
-            val lo = n0 * i / w
-            val hi = n0 * (i + 1) / w
-            in.mapPartitionsWithIndex({ (p, it) =>
-              val b = it.next()
-              Iterator.range((lo - starts(p)).max(0L).toInt,
-                             (hi - starts(p)).min(b.length.toLong).toInt).map(b(_))
-            }, preservesPartitioning = true)
-          }
+          // PaSh's split counts lines first. The input becomes ONE cached
+          // block, computed by the first consumer task to reach it (Spark's
+          // block lock makes the others wait); output i keeps its slice.
+          val in = streams.head
+          val one = if (in.getNumPartitions == 1) in else inOneTask(List(in), cacheAll = false)(OnlyStream)
+          val block = blocksOf(one, cache = true)
+          Vector.tabulate(w)(i => block.mapPartitions(Slice(i, w)))
         case CatOp =>
           Vector(streams match {
             case s :: Nil => s
@@ -155,28 +173,38 @@ final class SparkExec(spark: SparkSession, store: Store) {
           })
         case RelayOp(_, _) => Vector(streams.head)
       }
-      n.outs.zip(outs).foreach { case (e, v) => values(e) = v }
-    }
-
-    val stdout = List.newBuilder[RDD[String]]
-    val sinks  = Map.newBuilder[String, RDD[String]]
-    g.outputs.foreach { e =>
-      val v = values.getOrElse(e.id, sc.parallelize(Seq.empty[String], 1))
-      e.sink match {
-        case Some(f) => sinks += f -> v
-        case None    => stdout += v
+      val up = inEdges.filterNot(_.static).flatMap(e => upstream(e.id)).toSet + n.id
+      n.outs.zip(outs).foreach { case (e, v) =>
+        values(e) = v
+        upstream(e) = up
+        if (v != null) nodesOf(v.id) = up
       }
     }
-    (stdout.result(), sinks.result())
+
+    g.outputs.map { e =>
+      e -> merged.getOrElse(e.id, Output(values.get(e.id).toList, _.flatten.toVector))
+    }
   }
 
-  /** Run one region and collect results (order = partition order). */
+  /** Run one region: ONE job collects the RDDs of every output (in
+    * partition order), and the driver concatenates or merges them. */
   def run(g: Graph): RefExec.Out =
     try {
-      val (stdouts, sinks) = eval(g)
+      val outs   = eval(g)
+      val parts  = outs.flatMap(_._2.parts)
+      val arrays = if (parts.isEmpty) Array.empty[Array[String]]
+                   else runJob(sc.union(parts), parts, ToArray)
+      var next = 0
+      val lines = outs.map { case (e, o) =>
+        e -> o.merge(o.parts.map { p =>
+          val from = next
+          next += p.getNumPartitions
+          arrays.slice(from, next).iterator.flatten.toVector
+        })
+      }
       RefExec.Out(
-        stdouts.flatMap(_.collect()).toVector,
-        sinks.map { case (f, r) => f -> r.collect().toVector },
+        lines.collect { case (e, v) if e.sink.isEmpty => v }.flatten.toVector,
+        lines.flatMap { case (e, v) => e.sink.map(_ -> v) }.toMap,
       )
     } finally releaseCaches()
 
@@ -187,5 +215,18 @@ final class SparkExec(spark: SparkSession, store: Store) {
   private def releaseCaches(): Unit = {
     persisted.foreach(_.unpersist(blocking = false))
     persisted.clear()
+    nodesOf.clear()
+    done.clear()
   }
+}
+
+object SparkExec {
+
+  /** A graph output: the ordered RDDs whose lines the driver passes to
+    * `merge`. */
+  private final case class Output(parts: List[RDD[String]],
+                                  merge: List[Vector[String]] => Vector[String])
+
+  /** Commands whose kernels read store files inside a task. */
+  private val ReadsStore = Set("xargs", "file")
 }

@@ -1,6 +1,6 @@
 package repro.exec
 
-import org.apache.spark.SparkContext
+import org.apache.spark.{Partition, SparkContext, TaskContext}
 import org.apache.spark.rdd.RDD
 
 /** Synthetic file/URL store backing both executors.
@@ -17,10 +17,24 @@ object Store {
   /** Pure description of a synthetic file (top-level so that closures over
     * it never capture a Store instance — Spark ships these to executors). */
   final case class GenFile(n: Long, gen: Long => String) extends Serializable
+
+  /** Lines `[lo, hi)` of `f` as ONE partition. An RDD of its own, because
+    * `sc.range(lo, hi).map(f.gen)` spent about 4 ms per read in Spark's
+    * closure cleaner (4-core host). */
+  private final class GenRDD(sc: SparkContext, f: GenFile, lo: Long, hi: Long)
+      extends RDD[String](sc, Nil) {
+    override protected def getPartitions: Array[Partition] = Array(OnlyPartition)
+    override def compute(p: Partition, tc: TaskContext): Iterator[String] =
+      Iterator.range(0, (hi - lo).toInt).map(k => f.gen(lo + k))
+  }
+
+  private case object OnlyPartition extends Partition {
+    override def index: Int = 0
+  }
 }
 
 final class Store(@transient private val sc: SparkContext) {
-  import Store.GenFile
+  import Store.{GenFile, GenRDD}
 
   /** Alias so call sites can write `store.GenFile(...)`. */
   val GenFile: Store.GenFile.type = Store.GenFile
@@ -51,7 +65,8 @@ final class Store(@transient private val sc: SparkContext) {
     Vector.tabulate(f.n.toInt)(i => f.gen(i.toLong))
   }
 
-  /** Serializable fetch function for executor-side use (`xargs curl`). */
+  /** Serializable fetch function for executor-side use (`xargs curl`): a
+    * snapshot of every file, so only the kernels that read files get it. */
   def fetchFn: String => Vector[String] = {
     val snapshot = files.toMap
     val fb       = fallbacks
@@ -66,7 +81,7 @@ final class Store(@transient private val sc: SparkContext) {
   /** The file as an ordered single-partition RDD. */
   def rdd(name: String): RDD[String] = {
     val f = lookup(name)
-    sc.range(0L, f.n, 1L, 1).map(f.gen)
+    new GenRDD(sc, f, 0L, f.n)
   }
 
   /** Line range `[lo, hi)` of chunk `i` of `of`, shared by both chunked reads. */
@@ -78,7 +93,7 @@ final class Store(@transient private val sc: SparkContext) {
   def rddPart(name: String, i: Int, of: Int): RDD[String] = {
     val f        = lookup(name)
     val (lo, hi) = chunk(f, i, of)
-    sc.range(lo, hi, 1L, 1).map(f.gen)
+    new GenRDD(sc, f, lo, hi)
   }
 
   /** Contiguous line chunk for the reference executor; generates only its

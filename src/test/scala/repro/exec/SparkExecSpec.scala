@@ -1,9 +1,15 @@
 package repro.exec
 
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+
 import repro.SparkSpec
 import repro.bench.{Scripts, SynthText}
 import repro.bench.Scripts.ScriptBench
 import repro.core.{Frontend, Transform}
+import repro.core.Dfg._
 import repro.core.Transform.PashConfig
 
 /** Spark executor correctness: for every evaluation script,
@@ -19,6 +25,28 @@ class SparkExecSpec extends SparkSpec {
     val s = new Store(spark.sparkContext); b.setup(s, scale); s
   }
 
+  /** `body`'s result and the description of every Spark job it submitted,
+    * in submission order, as a listener sees them. */
+  private def withJobs[A](body: => A): (A, List[String]) = {
+    val sc   = spark.sparkContext
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        seen.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description")))
+          .getOrElse(""))
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    try { val a = body; ListenerBusDrain(sc); (a, seen.asScala.toList) }
+    finally sc.removeSparkListener(listener)
+  }
+
+  /** Node ids named by a job description `DFG nodes 3,5,8`. */
+  private def nodeIds(description: String): Set[Int] = {
+    assert(description.startsWith("DFG nodes "), s"job description '$description'")
+    description.stripPrefix("DFG nodes ").split(",").filter(_.nonEmpty).map(_.toInt).toSet
+  }
+
   /** `setup` overrides the script's own input registration (tiny inputs). */
   private def check(b: ScriptBench, widths: List[Int], scale: Int = 2,
                     setup: Option[Store => Unit] = None): Unit = {
@@ -27,7 +55,14 @@ class SparkExecSpec extends SparkSpec {
     }
     val regions = Frontend.compile(b.script).regions
     val golden  = RefExec.runProgram(regions, store())
-    val sparkSeq = new SparkExec(spark, store()).runProgram(regions)
+    // a sequential region is one task chain: ONE job
+    val seqStore = store()
+    val seqExec  = new SparkExec(spark, seqStore)
+    val sparkSeq = RefExec.runRegions(regions, seqStore) { g =>
+      val (out, jobs) = withJobs(seqExec.run(g))
+      assert(jobs.size == 1, s"${b.name}: a sequential region ran ${jobs.size} jobs")
+      out
+    }
     assert(sparkSeq.stdout == golden.stdout, s"${b.name}: spark sequential stdout differs")
     assert(sparkSeq.files == golden.files, s"${b.name}: spark sequential sinks differ")
     widths.foreach { w =>
@@ -77,13 +112,55 @@ class SparkExecSpec extends SparkSpec {
     check(Scripts.topN, List(3, 7), setup = Some(_.add("in.txt", 0, SynthText.textLine(13))))
   }
 
+  // sort-sort's first job caches the leaves of its first aggregate tree
   test("a region that fails mid-job leaves no cached RDDs behind") {
     val s = new Store(spark.sparkContext)
     s.add("in.txt", 100, i => if (i == 99) sys.error("unreadable line") else s"line-$i")
-    val regions = Frontend.compile(Scripts.sortOne.script).regions
+    val regions = Frontend.compile(Scripts.sortSort.script).regions
       .map(Transform.parallelize(_, PashConfig(4)))
     intercept[Exception](new SparkExec(spark, s).runProgram(regions))
     assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+  }
+
+  test("width 4 runs one Spark job per aggregate tree, plus one to collect any other output") {
+    List("sort" -> 1, "sort-sort" -> 2, "wf" -> 3, "top-n" -> 4, "spell" -> 2,
+         "unix50-20" -> 3, "nfa-regex" -> 1, "unix50-01" -> 1).foreach { case (name, n) =>
+      val b = Scripts.all.find(_.name == name).get
+      val regions = Frontend.compile(b.script).regions.map(Transform.parallelize(_, PashConfig(4)))
+      val (_, jobs) = withJobs(new SparkExec(spark, freshStore(b, 2)).runProgram(regions))
+      assert(jobs.size == n, s"$name: ${jobs.size} jobs")
+    }
+  }
+
+  test("every job is described by the DFG nodes it computes, each node by one job") {
+    val b = Scripts.wf
+    val List(g) = Frontend.compile(b.script).regions.map(Transform.parallelize(_, PashConfig(4)))
+    val (_, jobs) = withJobs(new SparkExec(spark, freshStore(b, 2)).run(g))
+    val named = jobs.map(nodeIds)
+    assert(named.forall(_.nonEmpty))
+    assert(named.flatten.size == named.flatten.toSet.size, s"a node named by two jobs: $jobs")
+    assert(named.flatten.toSet.subsetOf(g.nodes.keySet))
+    val replicas = g.nodes.values.collect { case DNode(id, _: MapOp | _: SplitOp, _, _) => id }
+    assert(replicas.toSet.subsetOf(named.flatten.toSet), s"unattributed nodes: $jobs")
+  }
+
+  test("split of a multi-partition stream: one block, then contiguous slices") {
+    val s = new Store(spark.sparkContext)
+    s.add("f", 10, i => s"line-$i")
+    val gb   = new Builder
+    val read = Vector(gb.freshEdge(Some(SrcFilePart("f", 0, 2))), gb.freshEdge(Some(SrcFilePart("f", 1, 2))))
+    val cat  = gb.freshEdge()
+    gb.addNode(CatOp, read, Vector(cat))
+    val parts = Vector.fill(3)(gb.freshEdge())
+    gb.addNode(SplitOp(3), Vector(cat), parts)
+    parts.zipWithIndex.foreach { case (e, i) => gb.setSink(e, s"part-$i") }
+    val g = gb.result()
+    val (out, jobs) = withJobs(new SparkExec(spark, s).run(g))
+    val lines = (0 until 10).map(i => s"line-$i").toVector
+    assert(out.files == Map("part-0" -> lines.slice(0, 3), "part-1" -> lines.slice(3, 6),
+                            "part-2" -> lines.slice(6, 10)))
+    assert(out == RefExec.run(g, s))
+    assert(jobs.size == 2, "one job caches the two chunks, one collects the slices")
   }
 
   test("spark naive chunk-and-concat corrupts wf (§6.5 GNU-parallel misuse)") {
