@@ -1,6 +1,7 @@
 package repro.cmds
 
 import java.util.regex.Pattern
+import repro.core.AnnotationLib
 import repro.core.Annotations.Resolved
 import repro.core.PClass
 
@@ -40,8 +41,11 @@ object Kernels extends Serializable {
   }
 
   /** `tr` as two 64K-entry tables over `char`: SET1 membership (after `-c`)
-    * and the SET2 character each member maps to. A mapped or kept `\n`
-    * ends an output line; empty lines are dropped once a line was split. */
+    * and what each char becomes (a member its SET2 char, any other itself).
+    * A mapped or kept `\n` ends an output line; empty lines are dropped
+    * once a line was split. Without `-s` and `-d`, when no member maps to
+    * `\n`, a line without `\n` is one table lookup per char, and is
+    * returned as is when no char changes. */
   private def trLine(r: Resolved): String => Seq[String] = {
     val comp    = r.flags.contains("-c")
     val squeeze = r.flags.contains("-s")
@@ -52,26 +56,30 @@ object Kernels extends Serializable {
     val member  = new Array[Boolean](65536)
     set1.foreach(c => member(c) = true)
     if (comp) (0 until 65536).foreach(c => member(c) = !member(c))
-    val mapTo = new Array[Char](65536)
+    val table = new Array[Char](65536)
+    (0 until 65536).foreach(c => table(c) = c.toChar)
     if (mapping) {
-      if (comp) java.util.Arrays.fill(mapTo, set2.last)
+      if (comp) (0 until 65536).foreach(c => if (member(c)) table(c) = set2.last)
       else set1.indices.reverse.foreach { i => // first occurrence wins
-        mapTo(set1.charAt(i)) = set2.charAt(math.min(i, set2.length - 1))
+        table(set1.charAt(i)) = set2.charAt(math.min(i, set2.length - 1))
       }
     }
-    line => {
-      val done  = new collection.mutable.ListBuffer[String]
-      val sb    = new java.lang.StringBuilder(line.length)
-      var split = false
-      var last  = -1
-      var i     = 0
+    val plain = !squeeze && !delete && set2.indexOf('\n') < 0 // so no member maps to `\n`
+
+    def general(line: String): List[String] = {
+      val buf     = new Array[Char](line.length)
+      var len     = 0
+      var split   = false
+      var changed = false
+      var last    = -1
+      var i       = 0
       while (i < line.length) {
         val ch  = line.charAt(i)
         var out = -1 // the char this one becomes, if any
         if (delete) {
           if (!member(ch)) out = ch
         } else if (mapping && member(ch)) {
-          val mapped = mapTo(ch).toInt
+          val mapped = table(ch).toInt
           if (!(squeeze && last == mapped)) out = mapped
           last = mapped
         } else if (squeeze && !mapping && member(ch)) {
@@ -79,15 +87,37 @@ object Kernels extends Serializable {
           if (last != ch.toInt) out = ch
           last = ch.toInt
         } else { out = ch; last = -1 }
-        if (out == '\n') {
-          if (sb.length > 0) { done += sb.toString; sb.setLength(0) }
-          split = true
-        } else if (out >= 0) sb.append(out.toChar)
+        if (out != ch) changed = true
+        if (out >= 0) { buf(len) = out.toChar; len += 1; if (out == '\n') split = true }
         i += 1
       }
-      if (!split || sb.length > 0) done += sb.toString
-      done.toList
+      if (!split) (if (changed) new String(buf, 0, len) else line) :: Nil
+      else { // the non-empty lines between the `\n`s, built back to front
+        var lines: List[String] = Nil
+        var end = len
+        var j   = len - 1
+        while (j >= 0) {
+          if (buf(j) == '\n') {
+            if (end > j + 1) lines = new String(buf, j + 1, end - j - 1) :: lines
+            end = j
+          }
+          j -= 1
+        }
+        if (end > 0) new String(buf, 0, end) :: lines else lines
+      }
     }
+
+    line =>
+      if (plain && line.indexOf('\n') < 0) {
+        var i = 0
+        while (i < line.length && table(line.charAt(i)) == line.charAt(i)) i += 1
+        if (i == line.length) line :: Nil
+        else {
+          val buf = line.toCharArray
+          while (i < buf.length) { buf(i) = table(buf(i)); i += 1 }
+          new String(buf) :: Nil
+        }
+      } else general(line)
   }
 
   // ======================================================= cut machinery
@@ -115,7 +145,7 @@ object Kernels extends Serializable {
           val to   = math.min(b, line.length)
           if (from < to) sb.append(line, from, to)
         }
-        Seq(sb.toString)
+        sb.toString :: Nil
       }
     } else {
       val delim  = r.flagVals.getOrElse("-d", "\t").headOption.getOrElse('\t')
@@ -131,7 +161,7 @@ object Kernels extends Serializable {
       val onlyDelimited = r.flags.contains("-s")
       line => {
         var end = line.indexOf(delim)
-        if (end < 0) { if (onlyDelimited) Seq.empty else Seq(line) }
+        if (end < 0) { if (onlyDelimited) Nil else line :: Nil }
         else {
           val sb    = new java.lang.StringBuilder
           var first = true
@@ -147,7 +177,7 @@ object Kernels extends Serializable {
             if (start >= 0) end = line.indexOf(delim, start)
             field += 1
           }
-          Seq(sb.toString)
+          sb.toString :: Nil
         }
       }
     }
@@ -182,7 +212,7 @@ object Kernels extends Serializable {
     }
     line => {
       val m = re.matcher(line)
-      Seq(if (global) m.replaceAll(repl) else m.replaceFirst(repl))
+      (if (global) m.replaceAll(repl) else m.replaceFirst(repl)) :: Nil
     }
   }
 
@@ -290,7 +320,7 @@ object Kernels extends Serializable {
     * `-n`/`-k` the line is its own key (String natural order), otherwise
     * the line is decorated as a [[Keyed]]. `sort`, `sort -u` and the
     * `sort-m` aggregator all sort through [[sorted]]. */
-  private final class SortKey(r: Resolved) {
+  private final class SortKey(r: Resolved) extends Serializable {
     private val numeric = r.flags.contains("-n")
     private val reverse = r.flags.contains("-r")
     private val unique  = r.flags.contains("-u")
@@ -316,7 +346,7 @@ object Kernels extends Serializable {
       new Keyed(key, if (numeric) numPrefix(key) else 0.0, line)
     }
 
-    private val keyedOrder: java.util.Comparator[Keyed] = {
+    @transient private lazy val keyedOrder: java.util.Comparator[Keyed] = {
       val base: java.util.Comparator[Keyed] =
         if (numeric) (x, y) => {
           val c = if (x.num < y.num) -1 else if (x.num > y.num) 1 else 0
@@ -533,24 +563,24 @@ object Kernels extends Serializable {
   /** Per-line kernel for stateless commands; `None` if the command is not
     * per-line (the caller falls back to [[whole]]). */
   def stateless(r: Resolved): Option[Ctx => String => Seq[String]] = r.name match {
-    case "cat" | "curl" | "wget" => Some(_ => l => Seq(l))
+    case "cat" | "curl" | "wget" => Some(_ => l => l :: Nil)
     case "tr"    => Some(_ => trLine(r))
     case "grep" if !r.flags.contains("-c") && !r.flags.contains("-n") =>
       Some { _ =>
-        val ok = grepMatch(r)
-        l => if (ok(l)) Seq(l) else Seq.empty
+        val m = GrepMatch(r)
+        l => if (m.matches(l)) l :: Nil else Nil
       }
     case "cut"      => Some(_ => cutLine(r))
     case "sed"      => Some(_ => sedLine(r))
-    case "rev"      => Some(_ => l => Seq(l.reverse))
-    case "col"      => Some(_ => l => Seq(l.filter(c => c >= ' ' || c == '\t')))
-    case "iconv"    => Some(_ => l => Seq(l))
+    case "rev"      => Some(_ => l => l.reverse :: Nil)
+    case "col"      => Some(_ => l => l.filter(c => c >= ' ' || c == '\t') :: Nil)
+    case "iconv"    => Some(_ => l => l :: Nil)
     case "fold"     =>
       val w = r.flagVals.get("-w").map(_.toInt).getOrElse(80)
-      Some(_ => l => if (l.isEmpty) Seq("") else l.grouped(w).toSeq)
-    case "expand"   => Some(_ => l => Seq(expandTabs(l)))
-    case "unexpand" => Some(_ => l => Seq(unexpandSpaces(l)))
-    case "gunzip" | "zcat" => Some(_ => l => Seq(l.stripPrefix("GZ:")))
+      Some(_ => l => if (l.isEmpty) "" :: Nil else l.grouped(w).toList)
+    case "expand"   => Some(_ => l => expandTabs(l) :: Nil)
+    case "unexpand" => Some(_ => l => unexpandSpaces(l) :: Nil)
+    case "gunzip" | "zcat" => Some(_ => l => l.stripPrefix("GZ:") :: Nil)
     case "url-extract" =>
       Some { _ =>
         val href = Pattern.compile("href=\"([^\"]+)\"")
@@ -565,51 +595,36 @@ object Kernels extends Serializable {
                    .replaceAll("<[^>]*>", " ")
                    .replaceAll("&[a-z]+;", " ")
                    .replaceAll("\\s+", " ").trim
-        if (txt.isEmpty) Seq.empty else Seq(txt)
+        if (txt.isEmpty) Nil else txt :: Nil
       }
     case "word-stem" =>
       Some { _ => l =>
         val w = l.toLowerCase
-        Seq(List("ingly", "edly", "ing", "ied", "ies", "ed", "ly", "es", "s")
+        List("ingly", "edly", "ing", "ied", "ies", "ed", "ly", "es", "s")
           .collectFirst { case suf if w.endsWith(suf) && w.length > suf.length + 2 =>
             w.dropRight(suf.length) }
-          .getOrElse(w))
+          .getOrElse(w) :: Nil
       }
     case "trim-adapter" =>
       Some { _ => l =>
         val i = l.indexOf("AGATCGGAAGAGC") // Illumina TruSeq adapter motif
-        Seq(if (i >= 0) l.take(i) else l)
+        (if (i >= 0) l.take(i) else l) :: Nil
       }
     case "quality-filter" =>
-      Some(_ => l => if (l.count(_ == 'N') * 10 <= l.length.max(1)) Seq(l) else Seq.empty)
+      Some(_ => l => if (l.count(_ == 'N') * 10 <= l.length.max(1)) l :: Nil else Nil)
     case "comm" if r.flags.contains("-1") && r.flags.contains("-3") =>
       Some { ctx =>
         val dict = ctx.statics.headOption.getOrElse(Vector.empty).toSet
-        l => if (dict.contains(l)) Seq.empty else Seq(l)
+        l => if (dict.contains(l)) Nil else l :: Nil
       }
     case "comm" if r.flags.contains("-2") && r.flags.contains("-3") =>
       Some { ctx =>
         val dict = ctx.statics.headOption.getOrElse(Vector.empty).toSet
-        l => if (dict.contains(l)) Seq.empty else Seq(l)
+        l => if (dict.contains(l)) Nil else l :: Nil
       }
-    case "xargs" => Some(ctx => l => xargsBatch(r, ctx, List(l)))
-    case "file"  => Some(ctx => l => Seq(fileType(ctx, l)))
+    case "xargs" => Some { ctx => val run = xargsRun(r, ctx); l => run(l :: Nil) }
+    case "file"  => Some(ctx => l => fileType(ctx, l) :: Nil)
     case _       => None
-  }
-
-  /** grep's line predicate: `-i`, `-v`, `-x` and the pattern. */
-  private def grepMatch(r: Resolved): String => Boolean = {
-    val flags  = if (r.flags.contains("-i")) Pattern.CASE_INSENSITIVE else 0
-    val p      = Pattern.compile(r.operands.headOption
-                   .orElse(r.flagVals.get("-e"))
-                   .getOrElse(throw new IllegalArgumentException("grep: no pattern")),
-                   flags)
-    val invert = r.flags.contains("-v")
-    val exact  = r.flags.contains("-x")
-    l => {
-      val m = p.matcher(l)
-      (if (exact) m.matches() else m.find()) ^ invert
-    }
   }
 
   private def expandTabs(l: String): String = {
@@ -635,28 +650,36 @@ object Kernels extends Serializable {
     s"$name: $kind"
   }
 
-  /** One `xargs` batch: run the inner command with the batch as operands. */
-  private def xargsBatch(r: Resolved, ctx: Ctx, batch: List[String]): Seq[String] = {
-    val inner = r.operands
-    inner match {
+  /** `xargs`: the inner command, set up once, run on each batch with the
+    * batch as its operands. The inner command is the raw words after
+    * xargs's own options, split as `AnnotationLib.resolve` splits them. */
+  private def xargsRun(r: Resolved, ctx: Ctx): List[String] => Seq[String] =
+    r.args.dropWhile(w => w.startsWith("-") || w.matches("[0-9]+")) match {
       case ("curl" | "wget" | "cat") :: _ =>
-        batch.flatMap(ctx.fetch)
+        batch => batch.flatMap(ctx.fetch)
       case "wc" :: innerFlags =>
         val countL = innerFlags.contains("-l") || innerFlags.isEmpty
         require(countL, s"xargs wc: unsupported flags $innerFlags")
-        val counts = batch.map(f => (ctx.fetch(f).size, f))
-        val per    = counts.map { case (n, f) => s"$n $f" }
-        if (counts.size > 1) per :+ s"${counts.map(_._1).sum} total" else per
+        batch => {
+          val counts = batch.map(f => (ctx.fetch(f).size, f))
+          val per    = counts.map { case (n, f) => s"$n $f" }
+          if (counts.size > 1) per :+ s"${counts.map(_._1).sum} total" else per
+        }
       case "file" :: _ =>
-        batch.map(fileType(ctx, _))
+        batch => batch.map(fileType(ctx, _))
       case "grep" :: rest =>
-        val pat = Pattern.compile(rest.filterNot(_.startsWith("-")).headOption
-          .getOrElse(throw new IllegalArgumentException("xargs grep: no pattern")))
-        batch.flatMap(f => ctx.fetch(f).filter(l => pat.matcher(l).find()))
+        val g = AnnotationLib.resolve("grep", rest)
+        val m = GrepMatch(g, implemented = GrepMatch.Flags - "-c")
+        if (g.operands.size > (if (g.flagVals.contains("-e")) 0 else 1))
+          throw new IllegalArgumentException(s"xargs grep: unsupported operands in $rest")
+        // GNU prefixes each line with its file's name once a batch holds two files
+        batch => batch.flatMap { f =>
+          val hits = ctx.fetch(f).filter(m.matches)
+          if (batch.size > 1) hits.map(l => s"$f:$l") else hits
+        }
       case other =>
         throw new IllegalArgumentException(s"xargs: unsupported inner command $other")
     }
-  }
 
   /** Whole-stream kernel over the ordered streaming inputs. Defined for
     * every command our evaluation scripts use (any class). */
@@ -678,8 +701,8 @@ object Kernels extends Serializable {
     }
     case "grep" if r.flags.contains("-c") =>
       _ => ss => {
-        val ok = grepMatch(r)
-        Vector(ss.iterator.map(_.count(ok)).sum.toString)
+        val m = GrepMatch(r)
+        Vector(ss.iterator.map(_.count(m.matches)).sum.toString)
       }
     case "comm" if !(r.flags.contains("-1") && r.flags.contains("-3")) &&
                    !(r.flags.contains("-2") && r.flags.contains("-3")) =>
@@ -706,12 +729,13 @@ object Kernels extends Serializable {
     case "xargs" =>
       val n = r.flagVals.get("-n").map(_.toInt)
       ctx => ss => {
-        val lines = concat(ss).toList
+        val run     = xargsRun(r, ctx)
+        val lines   = concat(ss).toList
         val batches = n match {
           case Some(k) => lines.grouped(k).toList
           case None    => if (lines.isEmpty) Nil else List(lines)
         }
-        batches.flatMap(xargsBatch(r, ctx, _)).toVector
+        batches.flatMap(run).toVector
       }
     case "echo" => _ => _ => Vector(r.operands.mkString(" "))
     case "seq"  => _ => _ => {

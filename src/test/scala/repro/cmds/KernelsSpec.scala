@@ -4,8 +4,10 @@ import java.util.regex.Pattern
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.AnnotationLib
+import repro.bench.{Scripts, SynthText}
+import repro.core.{AnnotationLib, Frontend, PClass}
 import repro.core.Annotations.Resolved
+import repro.core.Dfg.CmdOp
 import repro.cmds.Kernels.Ctx
 
 /** Unit semantics of every command kernel (hand-computed expectations),
@@ -65,6 +67,44 @@ class KernelsSpec extends AnyFunSuite {
   test("grep -E regex alternation") {
     assert(run("grep", List("-E", "(th|t|h)+e"), Vector("the end", "zzz")) ==
       Vector("the end"))
+  }
+  test("grep without -E reads a BRE: + ? | ( ) { } are literal") {
+    // expected outputs are `LC_ALL=C grep`'s
+    val in = Vector("aab", "a+b", "xy", "x(y)", "ab", "a|b", "a{2}", "aa")
+    assert(run("grep", List("a+b"), in) == Vector("a+b"))
+    assert(run("grep", List("x(y)"), in) == Vector("x(y)"))
+    assert(run("grep", List("a|b"), in) == Vector("a|b"))
+    assert(run("grep", List("a{2}"), in) == Vector("a{2}"))
+    assert(run("grep", List("-E", "a+b"), in) == Vector("aab", "ab"))
+    assert(run("grep", List("-E", "x(y)"), in) == Vector("xy"))
+    assert(run("grep", List("-E", "a|b"), in) == in.filter(l => l.contains('a') || l.contains('b')))
+  }
+  test("grep BRE: GNU's \\( \\) \\| \\+ \\? \\{ \\} are operators") {
+    val in = Vector("aab", "a+b", "xy", "x(y)", "b", "ab", "aa")
+    assert(run("grep", List("a\\+b"), in) == Vector("aab", "ab"))
+    assert(run("grep", List("x\\(y\\)"), in) == Vector("xy"))
+    assert(run("grep", List("-x", "a\\|b"), in) == Vector("b"))
+    assert(run("grep", List("-x", "a\\{2\\}"), in) == Vector("aa"))
+    assert(run("grep", List("-x", "\\(a\\)\\1"), in) == Vector("aa")) // back-reference: java.util.regex
+  }
+  test("grep BRE: * with nothing to repeat, ^ and $ inside are literal") {
+    val in = Vector("*a", "a", "a^b", "a$b", "ab")
+    assert(run("grep", List("*a"), in) == Vector("*a"))
+    assert(run("grep", List("a^b"), in) == Vector("a^b"))
+    assert(run("grep", List("a$b"), in) == Vector("a$b"))
+    assert(run("grep", List("^a$"), in) == Vector("a"))
+    assert(run("grep", List("-E", "a$|^\\*"), in) == Vector("*a", "a"))
+  }
+  test("grep brackets: leading ], ranges, negation, -i folding") {
+    val in = Vector("]", "a", "B", "-", "z9")
+    assert(run("grep", List("[]a]"), in) == Vector("]", "a"))
+    assert(run("grep", List("-x", "[^]a]"), in) == Vector("B", "-"))
+    assert(run("grep", List("-i", "[a-b]"), in) == Vector("a", "B"))
+    assert(run("grep", List("-ix", "[^a]"), in) == Vector("]", "B", "-"))
+    assert(run("grep", List("[[:digit:]]"), in) == Vector("z9"))
+  }
+  test("grep rejects flags it does not implement") {
+    intercept[IllegalArgumentException](run("grep", List("-w", "a"), Vector("a")))
   }
 
   // ----------------------------------------------------------------- cut
@@ -231,6 +271,18 @@ class KernelsSpec extends AnyFunSuite {
     assert(run("xargs", List("-n", "1", "wc", "-l"), Vector("a", "b"),
       fetch = fetch) == Vector("3 a", "5 b"))
   }
+  test("xargs grep keeps the inner grep's flags") {
+    val fetch = (f: String) => Vector(s"x in $f", s"y in $f")
+    assert(run("xargs", List("-n", "1", "grep", "-v", "x"), Vector("a", "b"), fetch = fetch) ==
+      Vector("y in a", "y in b"))
+    assert(run("xargs", List("-n", "1", "grep", "-E", "-x", "(x|z) in a"), Vector("a", "b"),
+      fetch = fetch) == Vector("x in a"))
+    // two files in one batch: GNU prefixes each line with its file
+    assert(run("xargs", List("grep", "-i", "Y"), Vector("a", "b"), fetch = fetch) ==
+      Vector("a:y in a", "b:y in b"))
+    intercept[IllegalArgumentException](
+      run("xargs", List("-n", "1", "grep", "-c", "x"), Vector("a"), fetch = fetch))
+  }
   test("xargs file reports script type") {
     val fetch = (f: String) => if (f == "s.sh") Vector("#!/bin/sh", "x")
                                else Vector("data")
@@ -279,6 +331,32 @@ class KernelsSpec extends AnyFunSuite {
   }
   test("trim-adapter cuts at the adapter motif") {
     assert(run("trim-adapter", Nil, Vector("ACGTAGATCGGAAGAGCTTT")) == Vector("ACGT"))
+  }
+
+  // ------------------------------------------------------- serialization
+
+  test("built kernels of every evaluation script survive Java serialization") {
+    val ctx     = Ctx(List(Vector("a", "the")), KernelsSpec.fetch)
+    val records = (for {
+      b        <- Scripts.all
+      g        <- Frontend.compile(b.script).regions
+      CmdOp(r) <- g.nodes.values.map(_.op)
+    } yield r).distinct
+    val sample = (0L until 40L).map(SynthText.textLine(7)).toVector
+    def out[A](f: => A) = scala.util.Try(f).toEither.left.map(_.getClass)
+    records.foreach { r =>
+      val whole  = Kernels.whole(r)(ctx)
+      val whole2 = KernelsSpec.roundTrip(whole)
+      List(List(sample), List(sample, sample.reverse)).foreach { in =>
+        assert(out(whole2(in)) == out(whole(in)), r.args)
+      }
+      // executors build a per-line kernel for (S) nodes only
+      Kernels.stateless(r).filter(_ => r.cls == PClass.Stateless).map(_(ctx)).foreach { f =>
+        val f2 = KernelsSpec.roundTrip(f)
+        assert(sample.map(l => out(f2(l))) == sample.map(l => out(f(l))), r.args)
+      }
+    }
+    assert(records.size > 60)
   }
 
   // ------------------------------------------------------------ misc fns
@@ -333,11 +411,11 @@ class KernelsSpec extends AnyFunSuite {
     })
   }
   test("property: wc -w and grep -c count like split and filter") {
-    check(Prop.forAll(genLines, Gen.oneOf("a", "^-?[0-9]", "\\s$", "é|中")) { (in, pat) =>
+    check(Prop.forAll(genLines, Gen.oneOf(KernelsRef.gnuGrep.keys.toSeq)) { (in, pat) =>
       whole(AnnotationLib.resolve("wc", List("-w")), in) ==
         Vector(in.map(KernelsRef.wordCount).sum.toString) &&
       whole(AnnotationLib.resolve("grep", List("-c", pat)), in) ==
-        Vector(in.count(l => Pattern.compile(pat).matcher(l).find()).toString)
+        Vector(in.count(KernelsRef.gnuGrep(pat)).toString)
     })
   }
   test("property: uniq -c and its aggregator equal the %7d %s definition") {
@@ -361,6 +439,17 @@ class KernelsSpec extends AnyFunSuite {
 }
 
 object KernelsSpec {
+
+  /** A serializable store: every file is a two-line shell script. */
+  val fetch: String => Vector[String] = f => Vector("#!/bin/sh", s"echo $f")
+
+  def roundTrip[A](a: A): A = {
+    val bytes = new java.io.ByteArrayOutputStream
+    val out   = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(a); out.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[A]
+  }
 
   /** Lines built from tokens that stress each kernel's edge cases: blanks,
     * tabs, control characters, signs, `.5`, a lone `-`, empty lines,
@@ -492,6 +581,16 @@ object KernelsRef {
     }
 
   def wordCount(l: String): Long = l.trim.split("\\s+").count(_.nonEmpty).toLong
+
+  /** What `LC_ALL=C grep PATTERN` (a BRE) keeps, written out by hand: `?`
+    * and `|` are literal, `\\s` is `[[:space:]]`, `$` ends the line. On
+    * [[KernelsSpec.genLine]]'s lines (whose only line terminators are `\\n`
+    * and `\\r`, themselves spaces) `$` agrees with `java.util.regex`'s. */
+  val gnuGrep: Map[String, String => Boolean] = Map(
+    "a"        -> (_.contains('a')),
+    "^-?[0-9]" -> (l => l.startsWith("-?") && l.length > 2 && l.charAt(2) >= '0' && l.charAt(2) <= '9'),
+    "\\s$"     -> (l => l.nonEmpty && " \t\n\u000b\f\r".indexOf(l.last) >= 0),
+    "é|中"     -> (_.contains("é|中")))
 
   def uniqC(v: Vector[String]): Vector[String] = {
     val out = Vector.newBuilder[String]

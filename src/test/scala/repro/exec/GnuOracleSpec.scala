@@ -61,6 +61,25 @@ class GnuOracleSpec extends SparkSpec {
     }
   }
 
+  // without -E a pattern is a BRE: GNU prints only the lines that hold `a+b`, `x(y)`, `a|b`
+  List(
+    "grep 'a+b'"    -> Vector("a+b"),
+    "grep 'x(y)'"   -> Vector("x(y)"),
+    "grep 'a|b'"    -> Vector("a|b"),
+    "grep -E 'a+b'" -> Vector("aab", "ab"),
+    "grep -E 'x(y)'" -> Vector("xy"),
+    "grep -E 'a|b'" -> Vector("aab", "a+b", "ab", "a|b", "b"),
+  ).foreach { case (grep, kept) =>
+    test(s"sh == RefExec: $grep") {
+      val script = s"cat in.txt | $grep"
+      val s      = new Store(spark.sparkContext)
+        .addLines("in.txt", Vector("aab", "a+b", "xy", "x(y)", "ab", "a|b", "b", "c"))
+      val ours   = sequential(script, s)
+      assert(ours.stdout == kept)
+      assertMatch(GnuOracle.check(script, s, ours))
+    }
+  }
+
   /** (name, our script, the `sh` script, set-up). `col` and `trim-adapter`
     * exist only as our kernels; `sh` runs the filter each implements. */
   private val width4Rows: List[(String, String, String, (Store, Int) => Unit)] = {
