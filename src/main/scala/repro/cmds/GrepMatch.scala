@@ -9,7 +9,9 @@ import repro.core.Annotations.Resolved
   *    `-x`); under `-i`, only when it has no ASCII letter;
   *  - a pattern in [[LineDfa]]'s subset runs on a lazy DFA;
   *  - anything else runs on `java.util.regex`, one `Matcher` reused
-  *    through `reset`.
+  *    through `reset`;
+  *  - several patterns (`-e a -e b`) each run their own, and a line
+  *    matches if any of them does.
   * The DFA and the `Matcher` are mutable: build a predicate in the task
   * that uses it, and never share it between threads.
   */
@@ -18,7 +20,7 @@ sealed abstract class GrepMatch(invert: Boolean) extends Serializable {
   final def matches(line: String): Boolean = test(line) != invert
   /** The pattern alone, before `-v`. */
   private[cmds] def test(line: String): Boolean
-  /** `literal`, `dfa` or `regex`. */
+  /** `literal`, `dfa` or `regex`; `any(…)` of those for several patterns. */
   def path: String
 }
 
@@ -33,10 +35,14 @@ object GrepMatch {
     val unknown = r.flags -- implemented
     if (unknown.nonEmpty)
       throw new IllegalArgumentException(s"grep: unsupported flags ${unknown.toList.sorted.mkString(" ")}")
-    val pattern = r.flagVals.get("-e").orElse(r.operands.headOption)
-      .getOrElse(throw new IllegalArgumentException("grep: no pattern"))
-    apply(pattern, ere = r.flags("-E"), icase = r.flags("-i"), exact = r.flags("-x"),
-          invert = r.flags("-v"))
+    val patterns = r.vals.getOrElse("-e", r.operands.take(1))
+    def one(p: String, invert: Boolean) =
+      apply(p, ere = r.flags("-E"), icase = r.flags("-i"), exact = r.flags("-x"), invert = invert)
+    patterns match {
+      case Nil      => throw new IllegalArgumentException("grep: no pattern")
+      case p :: Nil => one(p, r.flags("-v"))
+      case ps       => new AnyOf(ps.map(one(_, invert = false)), r.flags("-v"))
+    }
   }
 
   def apply(pattern: String, ere: Boolean, icase: Boolean, exact: Boolean,
@@ -69,6 +75,11 @@ object GrepMatch {
       if (r >= 0) r == 1 else regex.test(line)
     }
     def path = "dfa"
+  }
+
+  final class AnyOf(parts: List[GrepMatch], invert: Boolean) extends GrepMatch(invert) {
+    private[cmds] def test(line: String): Boolean = parts.exists(_.test(line))
+    def path = parts.map(_.path).mkString("any(", ",", ")")
   }
 
   final class Regex(pattern: Pattern, exact: Boolean, invert: Boolean) extends GrepMatch(invert) {

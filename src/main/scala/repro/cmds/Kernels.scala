@@ -1,7 +1,6 @@
 package repro.cmds
 
 import java.util.regex.Pattern
-import repro.core.AnnotationLib
 import repro.core.Annotations.Resolved
 import repro.core.PClass
 
@@ -185,7 +184,9 @@ object Kernels extends Serializable {
 
   // ======================================================= sed machinery
 
-  /** Parse `s<d>regex<d>replacement<d>[g]`; returns per-line transform. */
+  /** Parse `s<d>regex<d>replacement<d>[g]`; returns per-line transform.
+    * The regex is a BRE, or an ERE under `-E`/`-r`, read as `grep` reads
+    * it ([[LineDfa.parse]]). */
   private def sedLine(r: Resolved): String => Seq[String] = {
     val script = r.operands.headOption.getOrElse(
       throw new IllegalArgumentException("sed: missing script"))
@@ -194,7 +195,7 @@ object Kernels extends Serializable {
     val parts  = splitUnescaped(script.drop(2), d)
     require(parts.size >= 2, s"sed: bad substitution: $script")
     val global = parts.lift(2).exists(_.contains('g'))
-    val re     = Pattern.compile(parts(0))
+    val re     = Pattern.compile(LineDfa.parse(parts(0), ere = r.flags("-E") || r.flags("-r")).java)
     // sed `&` (whole match) → Java `$0`; escape Java-special chars otherwise
     val repl = {
       val raw = parts(1)
@@ -560,12 +561,13 @@ object Kernels extends Serializable {
 
   // =========================================================== dispatch
 
-  /** Per-line kernel for stateless commands; `None` if the command is not
-    * per-line (the caller falls back to [[whole]]). */
+  /** Per-line kernel of an invocation whose record clause is (S); `None`
+    * for any other clause, or a command with no per-line kernel. */
   def stateless(r: Resolved): Option[Ctx => String => Seq[String]] = r.name match {
-    case "cat" | "curl" | "wget" => Some(_ => l => l :: Nil)
+    case _ if r.cls != PClass.Stateless => None
+    case "cat"   => Some(_ => l => l :: Nil)
     case "tr"    => Some(_ => trLine(r))
-    case "grep" if !r.flags.contains("-c") && !r.flags.contains("-n") =>
+    case "grep"  =>
       Some { _ =>
         val m = GrepMatch(r)
         l => if (m.matches(l)) l :: Nil else Nil
@@ -612,12 +614,7 @@ object Kernels extends Serializable {
       }
     case "quality-filter" =>
       Some(_ => l => if (l.count(_ == 'N') * 10 <= l.length.max(1)) l :: Nil else Nil)
-    case "comm" if r.flags.contains("-1") && r.flags.contains("-3") =>
-      Some { ctx =>
-        val dict = ctx.statics.headOption.getOrElse(Vector.empty).toSet
-        l => if (dict.contains(l)) Nil else l :: Nil
-      }
-    case "comm" if r.flags.contains("-2") && r.flags.contains("-3") =>
+    case "comm" => // `comm -13` and `comm -23`: the streaming lines not in the static file
       Some { ctx =>
         val dict = ctx.statics.headOption.getOrElse(Vector.empty).toSet
         l => if (dict.contains(l)) Nil else l :: Nil
@@ -650,40 +647,58 @@ object Kernels extends Serializable {
     s"$name: $kind"
   }
 
-  /** `xargs`: the inner command, set up once, run on each batch with the
-    * batch as its operands. The inner command is the raw words after
-    * xargs's own options, split as `AnnotationLib.resolve` splits them. */
-  private def xargsRun(r: Resolved, ctx: Ctx): List[String] => Seq[String] =
-    r.args.dropWhile(w => w.startsWith("-") || w.matches("[0-9]+")) match {
-      case ("curl" | "wget" | "cat") :: _ =>
+  /** Whether `r`'s kernel reads the files it is named inside a task. */
+  def readsStore(r: Resolved): Boolean = r.name == "xargs" || r.name == "file"
+
+  /** Flags of an inner fetch that leave its output alone. */
+  private val quietFlags = Map("cat" -> Set.empty[String], "curl" -> Set("-s", "--silent"),
+                               "wget" -> Set("-q", "--quiet"))
+
+  /** `xargs`: the inner command (`r.inner`), set up once, run on each batch
+    * with the batch as its operands. It runs a fetch, `wc -l`, `file` and
+    * `grep`, with no operand of their own; anything else raises. */
+  private def xargsRun(r: Resolved, ctx: Ctx): List[String] => Seq[String] = {
+    val inner = r.inner.getOrElse(throw new IllegalArgumentException("xargs: no inner command"))
+    def unsupported = new IllegalArgumentException(
+      s"xargs: unsupported inner command ${(inner.name :: inner.args).mkString(" ")}")
+    if (inner.name != "grep" && inner.operands.nonEmpty) throw unsupported
+    inner.name match {
+      case f if quietFlags.get(f).exists(inner.flags.subsetOf) =>
         batch => batch.flatMap(ctx.fetch)
-      case "wc" :: innerFlags =>
-        val countL = innerFlags.contains("-l") || innerFlags.isEmpty
-        require(countL, s"xargs wc: unsupported flags $innerFlags")
+      case "wc" if inner.flags == Set("-l") =>
+        // GNU pads the counts of several files to the digits of their bytes
         batch => {
-          val counts = batch.map(f => (ctx.fetch(f).size, f))
-          val per    = counts.map { case (n, f) => s"$n $f" }
-          if (counts.size > 1) per :+ s"${counts.map(_._1).sum} total" else per
+          val files = batch.map(f => (f, ctx.fetch(f)))
+          if (files.size <= 1) files.map { case (f, v) => s"${v.size} $f" }
+          else {
+            val bytes = files.iterator.flatMap(_._2).map(_.getBytes("UTF-8").length + 1L).sum
+            val width = bytes.toString.length
+            (files.map { case (f, v) => (v.size, f) } :+ ((files.map(_._2.size).sum, "total")))
+              .map { case (n, f) => s"%${width}d %s".format(n, f) }
+          }
         }
-      case "file" :: _ =>
+      case "file" if inner.flags.isEmpty =>
         batch => batch.map(fileType(ctx, _))
-      case "grep" :: rest =>
-        val g = AnnotationLib.resolve("grep", rest)
-        val m = GrepMatch(g, implemented = GrepMatch.Flags - "-c")
-        if (g.operands.size > (if (g.flagVals.contains("-e")) 0 else 1))
-          throw new IllegalArgumentException(s"xargs grep: unsupported operands in $rest")
+      case "grep" =>
+        val m = GrepMatch(inner, implemented = GrepMatch.Flags - "-c")
+        if (inner.operands.size > (if (inner.vals.contains("-e")) 0 else 1)) throw unsupported
         // GNU prefixes each line with its file's name once a batch holds two files
         batch => batch.flatMap { f =>
           val hits = ctx.fetch(f).filter(m.matches)
           if (batch.size > 1) hits.map(l => s"$f:$l") else hits
         }
-      case other =>
-        throw new IllegalArgumentException(s"xargs: unsupported inner command $other")
+      case _ => throw unsupported
     }
+  }
 
   /** Whole-stream kernel over the ordered streaming inputs. Defined for
-    * every command our evaluation scripts use (any class). */
-  def whole(r: Resolved): Ctx => List[Vector[String]] => Vector[String] = r.name match {
+    * every command our evaluation scripts use (any class): an (S) clause's
+    * per-line kernel over every line, else [[wholeForm]]. */
+  def whole(r: Resolved): Ctx => List[Vector[String]] => Vector[String] =
+    stateless(r).fold(wholeForm(r))(mk => ctx => ss => { val f = mk(ctx); concat(ss).flatMap(f(_)).toVector })
+
+  /** The whole-stream form of a clause that is not (S). */
+  private def wholeForm(r: Resolved): Ctx => List[Vector[String]] => Vector[String] = r.name match {
     case "sort"  => _ => new SortKey(r).sorted
     case "uniq"  => _ => ss => uniqWhole(r)(concat(ss))
     case "wc"    => _ => ss => wcWhole(r)(concat(ss))
@@ -696,16 +711,16 @@ object Kernels extends Serializable {
     case "nl"    => _ => ss => concat(ss).zipWithIndex.map {
       case (l, i) => "%6d\t%s".format(i + 1, l)
     }
-    case "cat" if r.flags.contains("-n") => _ => ss => concat(ss).zipWithIndex.map {
+    case "curl" | "wget" => _ => ss => concat(ss) // (N) fetches: the store resolves the URL
+    case "cat"   => _ => ss => concat(ss).zipWithIndex.map { // `cat -n`
       case (l, i) => "%6d\t%s".format(i + 1, l)
     }
-    case "grep" if r.flags.contains("-c") =>
+    case "grep" if r.agg.contains("sum") => // `grep -c`
       _ => ss => {
         val m = GrepMatch(r)
         Vector(ss.iterator.map(_.count(m.matches)).sum.toString)
       }
-    case "comm" if !(r.flags.contains("-1") && r.flags.contains("-3")) &&
-                   !(r.flags.contains("-2") && r.flags.contains("-3")) =>
+    case "comm"  =>
       ctx => ss => {
         val (a, b) = twoStreams(r, ctx, ss)
         commWhole(r)(a, b)
@@ -714,11 +729,11 @@ object Kernels extends Serializable {
     case "diff"  => ctx => ss => { val (a, b) = twoStreams(r, ctx, ss); diffWhole(a, b) }
     case "paste" => _ => ss => pasteWhole(r)(ss)
     case "awk"   => _ => ss => awkWhole(r)(concat(ss))
-    case "sed" if r.flags.contains("-n") =>
+    case "sed"   =>
       // address scripts: `sed -n Np` prints only line N
       val prog = r.operands.headOption.getOrElse("")
       val m = Pattern.compile("^([0-9]+)p$").matcher(prog)
-      require(m.matches(), s"sed: unsupported -n script: $prog")
+      require(r.flags.contains("-n") && m.matches(), s"sed: unsupported script: ${r.args.mkString(" ")}")
       val n = m.group(1).toInt
       _ => ss => concat(ss).slice(n - 1, n)
     case "sha1sum" | "md5sum" | "sha256sum" => _ => ss => sha1Whole(concat(ss))
@@ -747,12 +762,7 @@ object Kernels extends Serializable {
       (from to to).map(_.toString).toVector
     }
     case _ =>
-      stateless(r) match {
-        case Some(mk) => ctx => ss => { val f = mk(ctx); concat(ss).flatMap(f(_)).toVector }
-        case None =>
-          throw new IllegalArgumentException(
-            s"no kernel for command '${r.name}' (args=${r.args})")
-      }
+      throw new IllegalArgumentException(s"no kernel for command '${r.name}' (args=${r.args})")
   }
 
   private def concat(ss: List[Vector[String]]): Vector[String] = ss match {

@@ -1,6 +1,7 @@
 package repro.core
 
 import Annotations._
+import FileOperands._
 import PClass._
 
 /** PaSh's standard library of annotations (§3.2) plus the POSIX/GNU
@@ -18,9 +19,9 @@ object AnnotationLib {
 
   private def simple(name: String, cls: PClass, agg: Option[String] = None,
                      valueFlags: Set[String] = Set.empty,
-                     combined: Boolean = false): Annotation =
+                     combined: Boolean = false, files: FileOperands = Concat): Annotation =
     Annotation(name, List(Clause(Always, cls, filterIn, agg)), valueFlags,
-               shortCombined = combined)
+               shortCombined = combined, files = files)
 
   /** Detailed annotation records, keyed by command name. 47+ commands. */
   val records: Map[String, Annotation] = List(
@@ -37,7 +38,7 @@ object AnnotationLib {
       Clause(Flag("-c"), Pure, List(In(OperandsFrom(1))), Some("sum")),
       Clause(Flag("-n"), Pure, List(In(OperandsFrom(1)))),
       Clause(Always, Stateless, List(In(OperandsFrom(1)))),
-    ), valueFlags = Set("-e", "-f"), shortCombined = true),
+    ), valueFlags = Set("-e", "-f"), shortCombined = true, files = AtMostOne),
     simple("cut", Stateless, valueFlags = Set("-d", "-f", "-c")),
     Annotation("sed", List(
       // operand 0 is the script; substitution-only scripts are per-line maps
@@ -55,7 +56,7 @@ object AnnotationLib {
     simple("expand", Stateless),
     simple("unexpand", Stateless),
     // gzip as a per-member stream codec; our synthetic substrate is per-line
-    simple("gunzip", Stateless),
+    simple("gunzip", Stateless, files = StdinOnly),
     simple("zcat", Stateless),
     // annotated third-party commands (§6.4 / §6.5): trivially described as S
     simple("url-extract", Stateless),
@@ -72,22 +73,22 @@ object AnnotationLib {
     Annotation("uniq", List(
       Clause(Flag("-c"), Pure, filterIn, Some("uniq-c")),
       Clause(Always, Pure, filterIn, Some("uniq")),
-    ), shortCombined = true),
+    ), shortCombined = true, files = AtMostOne),
     Annotation("wc", List(
       Clause(Always, Pure, filterIn, Some("wc")),
-    ), shortCombined = true),
+    ), shortCombined = true, files = StdinOnly),
     Annotation("head", List(
       Clause(Always, Pure, filterIn, Some("head")),
-    ), valueFlags = Set("-n", "-c")),
+    ), valueFlags = Set("-n", "-c"), files = AtMostOne),
     Annotation("tail", List(
       // `tail -n +K` (drop a prefix) has no per-chunk map that composes
       // with a pure aggregate — stays sequential (conservative)
       Clause(ArgMatch("^\\+[0-9]+$"), Pure, filterIn),
       Clause(Always, Pure, filterIn, Some("tail")),
-    ), valueFlags = Set("-n", "-c")),
+    ), valueFlags = Set("-n", "-c"), files = AtMostOne),
     Annotation("tac", List(
       Clause(Always, Pure, filterIn, Some("tac")),
-    )),
+    ), files = AtMostOne),
     Annotation("nl", List(
       Clause(Always, Pure, filterIn),
     )),
@@ -97,32 +98,32 @@ object AnnotationLib {
       Clause(Flag("-2") && Flag("-3"), Stateless,
              List(In(OperandRef(1), static = true), In(OperandRef(0)))),
       Clause(Always, Pure, List(In(OperandRef(0)), In(OperandRef(1)))),
-    ), stdinHyphen = true, shortCombined = true),
+    ), stdinHyphen = true, shortCombined = true, files = Separate),
     Annotation("join", List(
       Clause(Always, Pure, List(In(OperandRef(0)), In(OperandRef(1)))),
-    ), stdinHyphen = true, valueFlags = Set("-1", "-2", "-t", "-j")),
+    ), stdinHyphen = true, valueFlags = Set("-1", "-2", "-t", "-j"), files = Separate),
     Annotation("paste", List(
       // single-input `paste -s`-free invocations are per-line; multi-input
       // or serial mode interleaves streams — keep sequential.
       Clause(Always, Pure, filterIn),
-    ), stdinHyphen = true, valueFlags = Set("-d")),
+    ), stdinHyphen = true, valueFlags = Set("-d"), files = Separate),
 
     // --- non-parallelizable pure ----------------------------------------
-    simple("sha1sum", NonParallel),
-    simple("md5sum", NonParallel),
-    simple("sha256sum", NonParallel),
-    simple("cksum", NonParallel),
+    simple("sha1sum", NonParallel, files = StdinOnly),
+    simple("md5sum", NonParallel, files = StdinOnly),
+    simple("sha256sum", NonParallel, files = StdinOnly),
+    simple("cksum", NonParallel, files = StdinOnly),
     Annotation("awk", List(
       // operand 0 is the program; files start at operand 1
       Clause(Always, NonParallel, List(In(OperandsFrom(1)))),
     ), valueFlags = Set("-F", "-v", "-f")),
     simple("bc", NonParallel),
-    simple("diff", NonParallel),
-    simple("cmp", NonParallel),
+    simple("diff", NonParallel, files = Separate),
+    simple("cmp", NonParallel, files = Separate),
     simple("od", NonParallel),
-    simple("pr", NonParallel),
-    simple("tsort", NonParallel),
-    simple("shuf", NonParallel),
+    simple("pr", NonParallel, files = StdinOnly), // its page headers name the file
+    simple("tsort", NonParallel, files = AtMostOne),
+    simple("shuf", NonParallel, files = AtMostOne),
     // network fetch: read-only effect; a pure-ish source PaSh can keep
     // inside a DFG but never replicates (cf. Fig. 3: curl's output is split)
     simple("curl", NonParallel, valueFlags = Set("-o", "-H")),
@@ -130,13 +131,16 @@ object AnnotationLib {
     // pure sources: operands are data/arguments, there is no input stream
     Annotation("echo", List(Clause(Always, NonParallel, Nil))),
     Annotation("seq", List(Clause(Always, NonParallel, Nil))),
-    simple("file", Stateless), // per-operand type detection, used via xargs
+    // per-operand type detection, used via xargs; alone, our kernel reads
+    // the names from stdin, and GNU's output names each operand
+    simple("file", Stateless, files = StdinOnly),
 
     // --- higher-order ----------------------------------------------------
-    // operands are the inner command, not files: items arrive on stdin
+    // items arrive on stdin; the words after xargs's own `-n N` are the
+    // inner command, resolved into `Resolved.inner`
     Annotation("xargs",
       List(Clause(Always, SideEffectful, List(In(StdinRef)))),
-      valueFlags = Set("-n", "-I", "-P"), higherOrder = true),
+      valueFlags = Set("-n"), higherOrder = true),
   ).map(a => a.name -> a).toMap
 
   /** Read-only fetches: under `xargs` a per-line map in any batching. */
@@ -145,32 +149,39 @@ object AnnotationLib {
   /** Resolve an invocation to its parallelizability view; a command
     * without a record is [[Annotations.opaque]].
     *
-    * `xargs cmd args...` is higher-order (§3.2): its class is derived from
-    * the invoked command. Only a read-only fetch prints the same lines in
-    * any batching. Every other pure command's output depends on the batch
-    * (`wc`'s `total` line, GNU `grep`'s file-name prefix once a batch holds
-    * two files, GNU `file`'s padding to the batch's longest name), so it is
-    * (S) only under `-n 1`.
+    * `xargs cmd args...` is higher-order (§3.2): its own options are split
+    * from its own words only, the inner command is resolved once into
+    * `inner`, and its class is derived from the inner command's. Only a
+    * read-only fetch prints the same lines in any batching. Every other
+    * pure command's output depends on the batch (`wc`'s `total` line, GNU
+    * `grep`'s file-name prefix once a batch holds two files, GNU `file`'s
+    * padding to the batch's longest name), so it is (S) only under `-n 1`.
     */
   def resolve(name: String, args: List[String]): Resolved = records.get(name) match {
     case Some(a) if a.higherOrder =>
-      // xargs's own options come before the inner command
-      val inner   = args.dropWhile(w => w.startsWith("-") || w.matches("[0-9]+"))
-      val oneEach = a.splitArgs(args.dropRight(inner.size))._2.get("-n").contains("1")
-      val cls = inner match {
-        case cmd :: innerArgs =>
-          resolve(cmd, innerArgs).cls match {
-            case SideEffectful                    => SideEffectful
-            case _ if oneEach                     => Stateless
-            // `cat -n` (P) numbers lines across the batch
-            case Stateless | NonParallel if readOnlyFetch.contains(cmd) => Stateless
-            case _                                => SideEffectful
-          }
-        case Nil => SideEffectful
-      }
-      a.resolve(args).copy(cls = cls)
+      val (own, cmd) = xargsWords(args)
+      val inner      = cmd.headOption.map(resolve(_, cmd.tail))
+      val r          = a.resolve(own)
+      val cls = inner.fold[PClass](SideEffectful)(i => i.cls match {
+        case SideEffectful => SideEffectful
+        case _ if r.flagVals.get("-n").contains("1") => Stateless
+        // `cat -n` (P) numbers lines across the batch
+        case Stateless | NonParallel if readOnlyFetch.contains(i.name) => Stateless
+        case _             => SideEffectful
+      })
+      r.copy(args = args, cls = cls, inner = inner)
     case Some(a) => a.resolve(args)
     case None    => opaque(name, args)
+  }
+
+  /** `xargs`'s own options and the inner command's words. `-n N` is the
+    * only option its kernel implements; any other (`-L`, `--max-args`,
+    * `-I`, `-P`, …) raises, since it changes what runs. */
+  private def xargsWords(words: List[String]): (List[String], List[String]) = words match {
+    case "-n" :: k :: cmd if k.matches("[1-9][0-9]*") => (List("-n", k), cmd)
+    case w :: cmd if w.matches("-n[1-9][0-9]*")      => (List(w), cmd)
+    case w :: _ if w.startsWith("-") => throw new IllegalArgumentException(s"xargs: unsupported option $w")
+    case cmd                                          => (Nil, cmd)
   }
 
   // -------------------------------------------------------- Tab. 1 study

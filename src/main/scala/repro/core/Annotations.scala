@@ -50,6 +50,23 @@ object Annotations {
     * the streaming input (e.g. `comm -13 dict -`'s first file). */
   final case class In(ref: IoRef, static: Boolean = false)
 
+  /** How a command reads its streaming file operands, as GNU does. */
+  sealed trait FileOperands
+  object FileOperands {
+    /** As one concatenated stream: the filter convention, where the
+      * frontend's t1 inserts a `cat` (`cat`, `sort`, `cut`, `sed`, …). */
+    case object Concat extends FileOperands
+    /** As separate ordered inputs (`comm`, `join`, `paste`, `diff`). */
+    case object Separate extends FileOperands
+    /** At most one: GNU prints per-file output for more (`grep`'s name
+      * prefixes, `head`'s headers, `tac` file by file), and `uniq`'s
+      * second operand is its output file. */
+    case object AtMostOne extends FileOperands
+    /** None: GNU names a file operand in its output (`wc`, `sha1sum`),
+      * or acts on it in place (`gunzip`). */
+    case object StdinOnly extends FileOperands
+  }
+
   // --------------------------------------------------------------- clauses
 
   /** One clause of an annotation record. `agg` names the aggregator used to
@@ -74,12 +91,13 @@ object Annotations {
       shortCombined: Boolean = false,
       /** Higher-order commands (xargs): class comes from the invoked cmd. */
       higherOrder: Boolean = false,
+      files: FileOperands = FileOperands.Concat,
   ) {
 
-    /** Split raw args into (flag set, flag → value, operands). */
-    def splitArgs(args: List[String]): (Set[String], Map[String, String], List[String]) = {
+    /** Split raw args into (flag set, flag → its values in order, operands). */
+    def splitArgs(args: List[String]): (Set[String], Map[String, List[String]], List[String]) = {
       val flags    = Set.newBuilder[String]
-      val vals     = Map.newBuilder[String, String]
+      val vals     = List.newBuilder[(String, String)]
       val operands = List.newBuilder[String]
       var rest = args
       while (rest.nonEmpty) {
@@ -102,13 +120,13 @@ object Annotations {
           } else flags += a
         } else operands += a
       }
-      (flags.result(), vals.result(), operands.result())
+      (flags.result(), vals.result().groupMap(_._1)(_._2), operands.result())
     }
 
     /** Resolve the matching clause for an invocation; [[opaque]] if none
       * matches. */
     def resolve(args: List[String]): Resolved = {
-      val (flags, flagVals, operands) = splitArgs(args)
+      val (flags, vals, operands) = splitArgs(args)
       def stream(f: String, static: Boolean): StreamSpec =
         if (f == "-" && stdinHyphen) StreamSpec.Std else StreamSpec.File(f, static)
       def refToStreams(in: In): List[StreamSpec] = in.ref match {
@@ -122,16 +140,18 @@ object Annotations {
       clauses.find(_.pred.eval(flags, args)) match {
         case Some(c) =>
           Resolved(name, args, c.cls, c.inputs.flatMap(refToStreams), c.agg, flags,
-                   operands, flagVals)
+                   operands, vals, files)
         case None => opaque(name, args)
       }
     }
   }
 
   /** The one node for an invocation no record describes: side-effectful,
-    * reading stdin, never parallelized (§4.1's conservative default). */
+    * reading stdin, never parallelized (§4.1's conservative default). It
+    * keeps no flags, so no kernel can run it. */
   def opaque(name: String, args: List[String]): Resolved =
-    Resolved(name, args, PClass.SideEffectful, List(StreamSpec.Std), None, Set.empty, Nil)
+    Resolved(name, args, PClass.SideEffectful, List(StreamSpec.Std), None, Set.empty, Nil,
+             opaque = true)
 
   /** Concrete stream endpoint after resolving operand references. */
   sealed trait StreamSpec
@@ -141,7 +161,10 @@ object Annotations {
     final case class File(path: String, static: Boolean) extends StreamSpec
   }
 
-  /** The resolved view of one command invocation. */
+  /** The resolved view of one command invocation: everything later phases
+    * know about it. `vals` holds every value of each value flag, in order
+    * (`grep -e a -e b`); `flagVals` the last one, as GNU reads a repeated
+    * `head -n`. `inner` is a higher-order command's invoked command. */
   final case class Resolved(
       name: String,
       args: List[String],
@@ -150,6 +173,11 @@ object Annotations {
       agg: Option[String],
       flags: Set[String],
       operands: List[String],
-      flagVals: Map[String, String] = Map.empty,
-  )
+      vals: Map[String, List[String]] = Map.empty,
+      files: FileOperands = FileOperands.Concat,
+      inner: Option[Resolved] = None,
+      opaque: Boolean = false,
+  ) {
+    def flagVals: Map[String, String] = vals.map { case (f, vs) => f -> vs.last }
+  }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import Ast._
-import Annotations.{Resolved, StreamSpec, opaque}
+import Annotations.{FileOperands, Resolved, StreamSpec, opaque}
 import Dfg._
 
 /** Frontend (§4.1): identify dataflow regions in the shell AST and lift
@@ -16,7 +16,9 @@ import Dfg._
   * but the node is never parallelized. A first stage that reads the
   * script's own stdin is rejected: a region has no edge for it. So are
   * redirections the region cannot honour: `<` after a pipe, `>` before
-  * one, a target that does not expand, and two of a kind on one stage.
+  * one, a target that does not expand, and two of a kind on one stage,
+  * and file operands that the command's record says GNU does not read as
+  * the region would (`tac a b`, `wc -l a`).
   */
 object Frontend {
 
@@ -64,7 +66,8 @@ object Frontend {
   }
 
   /** Build the DFG for one pipeline (auxiliary transform t1 applied: a
-    * command with several streaming file inputs reads them via a cat). */
+    * command whose record concatenates several streaming file inputs reads
+    * them via a cat). */
   def pipeToDfg(stages: List[Node], env: Map[String, String]): Graph = {
     val b = new Builder
     var prevOut: Option[Int] = None // stdout edge of the previous stage
@@ -106,14 +109,19 @@ object Frontend {
           case StreamSpec.File(f, _) => List(b.freshEdge(Some(SrcFile(f))))
         }.toVector
 
-        // t1: many streaming inputs → concatenate through a cat node first.
-        val streaming: Vector[Int] =
-          if (streamEdges.size > 1 && r.name != "comm" && r.name != "join"
-              && r.name != "paste" && r.name != "diff") {
+        // t1: the record says how several streaming inputs are read
+        val files = streamSpecs.count(_ != StreamSpec.Std)
+        val streaming: Vector[Int] = r.files match {
+          case FileOperands.Concat if streamEdges.size > 1 =>
             val out = b.freshEdge()
             b.addNode(CatOp, streamEdges, Vector(out))
             Vector(out)
-          } else streamEdges
+          case FileOperands.AtMostOne if files > 1 => throw new IllegalArgumentException(
+            s"${r.name}: $files file operands, which GNU does not read as one input stream")
+          case FileOperands.StdinOnly if files > 0 => throw new IllegalArgumentException(
+            s"${r.name}: a file operand, which GNU names in its output or changes in place")
+          case _ => streamEdges
+        }
 
         val outEdge = b.freshEdge()
         redirOut.foreach(f => b.setSink(outEdge, f))

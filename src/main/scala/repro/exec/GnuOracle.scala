@@ -7,6 +7,7 @@ import java.util.concurrent.TimeUnit
 
 import scala.jdk.CollectionConverters._
 
+import repro.cmds.Kernels
 import repro.core.Dfg.{CmdOp, SrcFile}
 import repro.core.Frontend
 
@@ -18,7 +19,9 @@ import repro.core.Frontend
   *
   * A script is skipped, never run, when it reads a URL (an input named
   * `scheme://…`, or a `curl`/`wget` stage, also under `xargs`), or when one
-  * of its commands (an `xargs` inner command too) is not installed.
+  * of its commands (an `xargs` inner command too) is not installed. When a
+  * kernel reads store files by name (`Kernels.readsStore`), every file the
+  * Store names is written, so `sh` finds the files an `xargs` stage lists.
   */
 object GnuOracle {
 
@@ -41,11 +44,11 @@ object GnuOracle {
     * its stdout and the sinks named in `expected` with `expected`. */
   def check(script: String, store: Store, expected: RefExec.Out): Verdict = {
     val regions = Frontend.compile(script).regions
-    val tools = regions.flatMap(_.nodes.values.map(_.op).collect {
-      case CmdOp(r) => r.name :: (if (r.name == "xargs") r.operands.take(1) else Nil)
-    }.flatten).distinct.sorted
+    val cmds    = regions.flatMap(_.nodes.values.map(_.op).collect { case CmdOp(r) => r })
+    val tools   = cmds.flatMap(r => r.name :: r.inner.map(_.name).toList).distinct.sorted
     val written = regions.flatMap(_.outputs.flatMap(_.sink)).toSet
-    val inputs = regions.flatMap(_.inputs.flatMap(_.src)).collect { case SrcFile(f) => f }
+    val read    = regions.flatMap(_.inputs.flatMap(_.src)).collect { case SrcFile(f) => f }
+    val inputs  = (read ++ (if (cmds.exists(Kernels.readsStore)) store.names else Nil))
       .distinct.filterNot(written)
     inputs.find(_.contains("://")).map(u => Skipped(s"reads the URL $u"))
       .orElse(tools.find(fetchers).map(t => Skipped(s"fetches URLs with $t")))

@@ -18,6 +18,7 @@ object RefExec {
   final case class Out(stdout: Vector[String], files: Map[String, Vector[String]])
 
   def run(g: Graph, store: Store): Out = {
+    requireRunnable(g)
     val fetch: String => Vector[String] = store.fetch
     val values = collection.mutable.Map.empty[Int, Vector[String]]
 
@@ -59,6 +60,18 @@ object RefExec {
     }
     Out(stdout.result(), sinks.result())
   }
+
+  /** Raise on a region with an opaque node, naming it. Such a node lost the
+    * words that did not expand and keeps none of its flags, so running
+    * its command's kernel would run another program. Both executors call
+    * this before running a region. */
+  def requireRunnable(g: Graph): Unit =
+    g.nodes.values.toList.sortBy(_.id).collectFirst {
+      case DNode(id, CmdOp(r), _, _) if r.opaque => s"node $id (${(r.name :: r.args).mkString(" ")})"
+    }.foreach { n =>
+      throw new IllegalArgumentException(
+        s"$n is opaque: a word did not expand or no record describes it, so it cannot run")
+    }
 
   def runProgram(regions: List[Graph], store: Store): Out =
     runRegions(regions, store)(run(_, store))

@@ -124,23 +124,18 @@ final class SparkExec(spark: SparkSession, store: Store) {
           runJob(v, List(v), ToArray).iterator.flatten.toVector
       }).toList
       val streams = inEdges.filterNot(_.static).map(edgeIn).toList
-      // only xargs and file read store files in a task; others ship no files
+      // only kernels that read store files get them in a task
       val ctx = Ctx(statics, n.op match {
-        case CmdOp(r) if ReadsStore(r.name) => fetch
-        case MapOp(r) if ReadsStore(r.name) => fetch
-        case _                              => NoFetch
+        case CmdOp(r) if Kernels.readsStore(r) => fetch
+        case MapOp(r) if Kernels.readsStore(r) => fetch
+        case _                                 => NoFetch
       })
 
       val outs: Vector[RDD[String]] = n.op match {
         case CmdOp(r) if r.cls == PClass.Stateless =>
-          // parallel per-line kernel across all chunk partitions; with no
-          // per-line kernel, the stateless law makes a whole kernel per
-          // partition equivalent
-          val perPartition = Kernels.stateless(r) match {
-            case Some(mk) => PerLine(mk, ctx)
-            case None     => Whole(WholeKernel(r, ctx))
-          }
-          Vector(streams.head.mapPartitions(perPartition, preservesPartitioning = true))
+          // parallel per-line kernel across all chunk partitions: every (S)
+          // clause with an input stream has one (LawsSpec)
+          Vector(streams.head.mapPartitions(PerLine(Kernels.stateless(r).get, ctx), preservesPartitioning = true))
         case CmdOp(r) => Vector(inOneTask(streams, cacheAll = false)(WholeKernel(r, ctx)))
         case MapOp(r) => Vector(inOneTask(streams, cacheAll = false)(WholeKernel(r, ctx)))
         case AggOp(key, r) =>
@@ -190,6 +185,7 @@ final class SparkExec(spark: SparkSession, store: Store) {
     * partition order), and the driver concatenates or merges them. */
   def run(g: Graph): RefExec.Out =
     try {
+      RefExec.requireRunnable(g)
       val outs   = eval(g)
       val parts  = outs.flatMap(_._2.parts)
       val arrays = if (parts.isEmpty) Array.empty[Array[String]]
@@ -226,7 +222,4 @@ object SparkExec {
     * `merge`. */
   private final case class Output(parts: List[RDD[String]],
                                   merge: List[Vector[String]] => Vector[String])
-
-  /** Commands whose kernels read store files inside a task. */
-  private val ReadsStore = Set("xargs", "file")
 }

@@ -54,6 +54,9 @@ final class Store(@transient private val sc: SparkContext) {
     fallbacks = fallbacks :+ f; this
   }
 
+  /** The names of the files added by name (not the fallbacks'). */
+  def names: List[String] = files.keys.toList.sorted
+
   private def lookup(name: String): GenFile =
     files.getOrElse(name,
       fallbacks.view.flatMap(_(name)).headOption.getOrElse(

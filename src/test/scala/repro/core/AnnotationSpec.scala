@@ -71,7 +71,8 @@ class AnnotationSpec extends AnyFunSuite {
         assert(AnnotationLib.resolve(name, args) == Annotations.opaque(name, args))
     }
     val r = Annotations.opaque("base64", List("f"))
-    assert(r.cls == SideEffectful && r.inputs == List(StreamSpec.Std) && r.agg.isEmpty)
+    assert(r.cls == SideEffectful && r.inputs == List(StreamSpec.Std) && r.agg.isEmpty && r.opaque)
+    assert(!AnnotationLib.resolve("wc", List("-l")).opaque)
   }
   test("basename and dirname take names, not input files") {
     assert(AnnotationLib.resolve("basename", List("x")).inputs.isEmpty)
@@ -132,9 +133,24 @@ class AnnotationSpec extends AnyFunSuite {
     assert(cls("xargs", "-n", "1", "sha1sum") == Stateless)
     assert(cls("xargs", "curl", "-s") == Stateless) // fetches concatenate
   }
-  test("xargs reads its items from stdin; its operands are the inner command") {
+  test("xargs reads its items from stdin; its inner command is a resolved record") {
     val r = AnnotationLib.resolve("xargs", List("-n", "1", "wc", "-l"))
-    assert(r.inputs == List(StreamSpec.Std) && r.operands == List("wc"))
+    assert(r.inputs == List(StreamSpec.Std) && r.operands.isEmpty)
+    assert(r.inner.contains(AnnotationLib.resolve("wc", List("-l"))))
+    assert(r.args == List("-n", "1", "wc", "-l")) // every word, for the backend
+  }
+  test("xargs reads -n from its own words only") {
+    val r = AnnotationLib.resolve("xargs", List("head", "-n", "1"))
+    assert(r.flagVals.isEmpty && r.cls == SideEffectful)
+    assert(r.inner.exists(_.flagVals == Map("-n" -> "1")))
+    assert(AnnotationLib.resolve("xargs", List("-n1", "head", "-n", "2")).flagVals ==
+      Map("-n" -> "1"))
+  }
+  test("xargs rejects every option but -n N") {
+    List(List("-L", "1"), List("--max-args=1"), List("-I", "{}"), List("-P", "4"),
+         List("-n", "0"), List("-n", "x")).foreach { own =>
+      intercept[IllegalArgumentException](AnnotationLib.resolve("xargs", own ++ List("wc", "-l")))
+    }
   }
 
   // ---- predicate language
@@ -149,15 +165,21 @@ class AnnotationSpec extends AnyFunSuite {
   test("value flags: separate and glued forms") {
     val a = AnnotationLib.records("cut")
     val (f1, v1, o1) = a.splitArgs(List("-d", ":", "-f", "1"))
-    assert(f1 == Set("-d", "-f") && v1 == Map("-d" -> ":", "-f" -> "1") && o1.isEmpty)
+    assert(f1 == Set("-d", "-f") && v1 == Map("-d" -> List(":"), "-f" -> List("1")) && o1.isEmpty)
     val (_, v2, _) = a.splitArgs(List("-d:", "-f1"))
-    assert(v2 == Map("-d" -> ":", "-f" -> "1"))
+    assert(v2 == Map("-d" -> List(":"), "-f" -> List("1")))
+  }
+
+  test("a repeated value flag keeps every value; flagVals reads the last") {
+    val g = AnnotationLib.resolve("grep", List("-e", "a", "-e", "b"))
+    assert(g.vals == Map("-e" -> List("a", "b")) && g.flagVals == Map("-e" -> "b"))
+    assert(AnnotationLib.resolve("head", List("-n", "1", "-n", "2")).flagVals == Map("-n" -> "2"))
   }
 
   test("long flags with = are captured") {
     val a = AnnotationLib.records("sort")
     val (f, v, _) = a.splitArgs(List("--parallel=8"))
-    assert(f.contains("--parallel") && v.get("--parallel").contains("8"))
+    assert(f.contains("--parallel") && v.get("--parallel").contains(List("8")))
   }
 
   // ---- the Tab. 1 study

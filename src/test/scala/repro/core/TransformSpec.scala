@@ -128,6 +128,24 @@ class TransformSpec extends AnyFunSuite {
     assert(regions("echo hi | wc -l").head.inputs.isEmpty)
   }
 
+  test("file operands follow the record: concatenated, separate, at most one, or none") {
+    def cats(src: String) = count(regions(src).head, "cat")
+    assert(cats("sort a.txt b.txt") == 1 && cats("cut -c 1 a.txt b.txt") == 1)
+    List("paste a.txt b.txt", "diff a.txt b.txt", "comm a.txt b.txt", "tac a.txt",
+         "grep 1 a.txt", "head -n 1 a.txt").foreach { src =>
+      val g = regions(src).head
+      assert(cats(src) == 0 && g.inputs.size == src.count(_ == '.'), src)
+    }
+    // GNU prints per-file output (headers, prefixes, a total), names the
+    // file, writes uniq's output to b.txt, or decompresses in place
+    List("tac a.txt b.txt", "sha1sum a.txt b.txt", "wc -l a.txt b.txt", "grep 1 a.txt b.txt",
+         "head -n 1 a.txt b.txt", "uniq a.txt b.txt", "wc -l a.txt", "md5sum a.txt",
+         "gunzip a.gz").foreach { src =>
+      val e = intercept[IllegalArgumentException](regions(src))
+      assert(e.getMessage.startsWith(src.takeWhile(_ != ' ') + ":"), src)
+    }
+  }
+
   test("redirections a region cannot honour are rejected") {
     List("cat a | grep x < b",            // sh makes grep read b, not the pipe
          "cat a | wc -l > $undefined",    // the sink would silently be stdout

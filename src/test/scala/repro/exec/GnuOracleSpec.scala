@@ -1,10 +1,12 @@
 package repro.exec
 
+import scala.util.{Failure, Success, Try}
+
 import repro.SparkSpec
 import repro.bench.Scripts
 import repro.bench.Scripts.ScriptBench
 import repro.cmds.Kernels
-import repro.core.{Frontend, Transform}
+import repro.core.{AnnotationLib, Frontend, Transform}
 import repro.core.Transform.PashConfig
 import repro.exec.GnuOracle.{Match, Mismatch, Skipped, Verdict}
 
@@ -99,6 +101,93 @@ class GnuOracleSpec extends SparkSpec {
       val par = width4(ours, s)
       assert(par == sequential(ours, s))
       assertMatch(GnuOracle.check(sh, s, par))
+    }
+  }
+
+  // ---- file operands: how each record reads `a.txt b.txt`, against GNU
+
+  /** Two small files, and a list of files that differ in size, so GNU
+    * `wc` pads its counts of a batch. */
+  private def files: Store = new Store(spark.sparkContext)
+    .addLines("a.txt", Vector("a b", "b")).addLines("b.txt", Vector("c"))
+    .addLines("list.txt", Vector("f1", "f2", "f3"))
+    .addLines("f1", Vector("xy", "z")).addLines("f2", Vector("y"))
+    .addLines("f3", Vector.tabulate(12)(i => s"line $i z"))
+
+  /** Each record's fixed invocation, before its operands `a.txt b.txt`; by
+    * default the bare name. `zcat -f` passes text through, as ours does. */
+  private val invocation = Map(
+    "awk" -> "awk '{print $1}'", "cut" -> "cut -c 1", "fold" -> "fold -w 1", "grep" -> "grep b",
+    "head" -> "head -n 1", "iconv" -> "iconv -f utf-8 -t ascii", "sed" -> "sed s/b/x/",
+    "seq" -> "seq 2", "tail" -> "tail -n 1", "tr" -> "tr a-z A-Z", "xargs" -> "xargs cat",
+    "zcat" -> "zcat -f")
+
+  AnnotationLib.records.keys.toList.sorted.foreach { name =>
+    val script = s"${invocation.getOrElse(name, name)} a.txt b.txt"
+    test(s"two file operands, sh == RefExec or rejected: $script") {
+      Try(Frontend.compile(script)) match {
+        case Failure(e: IllegalArgumentException) => info(s"rejected: ${e.getMessage}")
+        case Failure(e)                           => throw e
+        case Success(c) if c.regions.forall(_.inputs.forall(_.src.isEmpty)) =>
+          info("its operands are not files")
+        case Success(_) if !GnuOracle.available(name) => info(s"$name is not installed")
+        case Success(c) =>
+          val s = files
+          Try(RefExec.runProgram(c.regions, s)) match {
+            case Failure(e: IllegalArgumentException) if e.getMessage.startsWith("no kernel") =>
+              info(e.getMessage)
+            case Failure(e)    => throw e
+            case Success(ours) =>
+              GnuOracle.check(script, s, ours) match {
+                case Skipped(why) => info(s"skipped: $why")
+                case v            => assertMatch(v)
+              }
+          }
+      }
+    }
+  }
+
+  // several files concatenate, or stay separate inputs, as the record says;
+  // xargs runs the inner commands its kernel implements
+  List("cat a.txt b.txt | sort", "sort a.txt b.txt", "paste a.txt b.txt", "diff a.txt b.txt",
+       "comm a.txt b.txt", "cat list.txt | xargs wc -l", "cat list.txt | xargs -n 1 wc -l",
+       "cat list.txt | xargs -n 2 wc -l", "cat list.txt | xargs cat",
+       "cat list.txt | xargs -n 1 grep -e x -e y").foreach { script =>
+    test(s"sh == SparkExec at width 4 == RefExec: $script") {
+      val s   = files
+      val par = width4(script, s)
+      assert(par == sequential(script, s))
+      assertMatch(GnuOracle.check(script, s, par))
+    }
+  }
+
+  test("xargs rejects options and inner flags it does not implement") {
+    List("cat list.txt | xargs -L 1 wc -l", "cat list.txt | xargs --max-args=1 wc -l",
+         "cat list.txt | xargs -P 2 cat")
+      .foreach(src => intercept[IllegalArgumentException](Frontend.compile(src)))
+    // GNU numbers the lines of the batch; `wc` alone prints three counts
+    List("cat list.txt | xargs cat -n", "cat list.txt | xargs -n 1 wc",
+         "cat list.txt | xargs -n 1 wc -lw", "cat list.txt | xargs cat f1").foreach { src =>
+      intercept[IllegalArgumentException](sequential(src, files))
+    }
+  }
+
+  // ---- repeated grep patterns; sed reads a BRE, or an ERE under -E
+
+  List(
+    ("grep -e a -e b", Vector("a", "b", "c"), Vector("a", "b")),
+    ("grep -v -e a -e b", Vector("a", "b", "c"), Vector("c")),
+    ("sed s/a+/X/", Vector("aa+"), Vector("aX")),
+    ("sed 's/a|b/X/'", Vector("a|b"), Vector("X")),
+    ("sed -E 's/a+/X/'", Vector("aa+"), Vector("X+")),
+    ("sed 's/a\\+/X/'", Vector("aa+"), Vector("X+")),
+  ).foreach { case (cmd, in, out) =>
+    test(s"sh == RefExec: $cmd") {
+      val script = s"cat in.txt | $cmd"
+      val s      = new Store(spark.sparkContext).addLines("in.txt", in)
+      val ours   = sequential(script, s)
+      assert(ours.stdout == out)
+      assertMatch(GnuOracle.check(script, s, ours))
     }
   }
 

@@ -175,6 +175,26 @@ class SparkExecSpec extends SparkSpec {
       s"expected large corruption, got $diff/${golden.stdout.size}")
   }
 
+  test("an opaque node compiles and stays sequential, and neither executor runs it") {
+    // `$y` is unset: `sh` runs `wc -l` and `uniq -c`, which the node no longer holds
+    List("cat a.txt | wc -l $y" -> "wc -l", "cat a.txt | uniq -c $y" -> "uniq -c").foreach {
+      case (src, words) =>
+        val store = new Store(spark.sparkContext).addLines("a.txt", Vector("a", "a"))
+        val seq   = Frontend.compile(src).regions
+        val par   = seq.map(Transform.parallelize(_, PashConfig(4)))
+        assert(par.head.nodes.values.count {
+          case DNode(_, CmdOp(r), _, _) => r.opaque
+          case _                        => false
+        } == 1, src)
+        List[() => RefExec.Out](() => RefExec.runProgram(seq, store),
+                                () => new SparkExec(spark, store).runProgram(seq),
+                                () => new SparkExec(spark, store).runProgram(par)).foreach { run =>
+          val e = intercept[IllegalArgumentException](run())
+          assert(e.getMessage.contains(s"($words) is opaque"), e.getMessage)
+        }
+    }
+  }
+
   test("chunked file reads preserve order (rddPart concatenation)") {
     val s = new Store(spark.sparkContext)
     s.add("f", 1000, i => s"line-$i")
