@@ -4,14 +4,16 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.cmds.Kernels
 import repro.cmds.Kernels.Ctx
 import repro.core.AnnotationLib
+import repro.exec.Store
 
 /** Warm throughput of the stateless kernels that the evaluation scripts
   * run, one JVM, no Spark: each kernel is built and run over the whole
   * input as one Spark task builds and runs it over a partition, 5 times to
   * warm up and then 15 times, and the best time gives the MB/s (input
-  * bytes, newlines counted). A cold single replay, as `perfbench` traces
-  * it, moves by up to 3× between runs of one commit; the best of many
-  * warm calls does not.
+  * bytes, newlines counted). `Store.fetch` of the same input, generated
+  * afresh on each call, is timed the same way. A cold single replay, as
+  * `perfbench` traces it, moves by up to 3× between runs of one commit;
+  * the best of many warm calls does not.
   *
   * Run with `sbt "bench/testOnly repro.bench.KernelThroughputBench"`.
   */
@@ -44,29 +46,40 @@ class KernelThroughputBench extends AnyFunSuite {
   private def argv(cmd: String): List[String] =
     """'[^']*'|\S+""".r.findAllIn(cmd).map(_.stripPrefix("'").stripSuffix("'")).toList
 
-  test("stateless kernel throughput (MB/s, best of 15 warm calls)") {
+  /** Best time of `Calls` calls of `run` after `WarmUp` untimed ones, in
+    * ns, and the lines the last call returned. */
+  private def best(run: () => Long): (Long, Long) = {
+    var out = 0L
+    def call(): Long = {
+      val t0 = System.nanoTime()
+      out = run()
+      System.nanoTime() - t0
+    }
+    (1 to WarmUp).foreach(_ => call())
+    ((1 to Calls).map(_ => call()).min, out)
+  }
+
+  test("stateless kernel and Store.fetch throughput (MB/s, best of 15 warm calls)") {
     val ctx  = Ctx(Nil, _ => Vector.empty)
     val rows = kernels.map { case (cmd, in) =>
-      val w     = argv(cmd)
-      val mk    = Kernels.stateless(AnnotationLib.resolve(w.head, w.tail)).get
-      val bytes = in.iterator.map(_.length + 1L).sum
-      var out   = 0L
-      def call(): Long = {
-        val t0 = System.nanoTime()
-        val f  = mk(ctx)
-        var n  = 0L
+      val w  = argv(cmd)
+      val mk = Kernels.stateless(AnnotationLib.resolve(w.head, w.tail)).get
+      val (ns, out) = best { () =>
+        val f = mk(ctx)
+        var n = 0L
         in.foreach(l => n += f(l).size)
-        out = n
-        System.nanoTime() - t0
+        n
       }
-      (1 to WarmUp).foreach(_ => call())
-      val best = (1 to Calls).map(_ => call()).min
-      (cmd, bytes, out, bytes / 1e6 / (best / 1e9))
+      (cmd, in.iterator.map(_.length + 1L).sum, out, ns)
     }
+    // the read every input goes through: 50k prose lines generated afresh
+    val store = new Store(null).add("unix50.txt", Lines.toLong, SynthText.textLine(13))
+    val (ns, out) = best(() => store.fetch("unix50.txt").size.toLong)
+    val all = rows :+ (("Store.fetch unix50.txt", text.iterator.map(_.length + 1L).sum, out, ns))
     println(f"${"kernel"}%-24s ${"in MB"}%7s ${"lines out"}%9s ${"MB/s"}%8s")
-    rows.foreach { case (cmd, bytes, out, mbs) =>
-      println(f"$cmd%-24s ${bytes / 1e6}%7.2f $out%9d $mbs%8.1f")
+    all.foreach { case (cmd, bytes, out, ns) =>
+      println(f"$cmd%-24s ${bytes / 1e6}%7.2f $out%9d ${bytes / 1e6 / (ns / 1e9)}%8.1f")
     }
-    assert(rows.forall(_._4 > 0))
+    assert(all.forall(_._4 > 0) && out == Lines)
   }
 }

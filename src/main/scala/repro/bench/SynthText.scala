@@ -29,27 +29,50 @@ object SynthText {
     "but", "not", "what", "all", "were", "we", "when", "your", "can", "said",
     "there", "use", "an", "each", "which", "she", "do", "how", "their", "if")
 
-  /** Zipf-ish word draw over a vocabulary of `vocab` tokens. */
-  def word(seed: Long, i: Long, vocab: Int = 5000): String = {
-    val u    = u01(seed, i)
-    val rank = math.min(vocab - 1, (vocab * u * u * u).toInt)
+  /** The word of Zipf rank `rank`: a common word, else `w<rank>x`. */
+  private def spelled(rank: Int): String =
     if (rank < common.size) common(rank) else s"w${rank}x"
+
+  private val Vocab = 5000
+
+  /** Every word of the default vocabulary, by rank, and its capitalized
+    * form, built once: a prose line is then only draws and appends. */
+  private val words: Array[String] = Array.tabulate(Vocab)(spelled)
+  private val capitals: Array[String] = words.map(_.capitalize)
+
+  /** Zipf-ish rank draw over a vocabulary of `vocab` tokens. The
+    * expression is kept as written: reassociating it can change a rank. */
+  private def rank(seed: Long, i: Long, vocab: Int): Int = {
+    val u = u01(seed, i)
+    math.min(vocab - 1, (vocab * u * u * u).toInt)
+  }
+
+  /** Zipf-ish word draw over a vocabulary of `vocab` tokens. */
+  def word(seed: Long, i: Long, vocab: Int = Vocab): String = {
+    val r = rank(seed, i, vocab)
+    if (r < Vocab) words(r) else spelled(r)
   }
 
   /** One prose line: 5–12 words, occasional capitals and digits. */
   def textLine(seed: Long)(i: Long): String = {
-    val n  = 5 + (mix(seed, i) & 7).toInt
-    val ws = (0 until n).map { k =>
-      val w = word(seed ^ 0x5ca1ab1eL, i * 16 + k)
-      if (mix(seed, i * 31 + k) % 11 == 0) w.capitalize else w
+    val h     = mix(seed, i)
+    val n     = 5 + (h & 7).toInt
+    val wseed = seed ^ 0x5ca1ab1eL
+    val sb    = new java.lang.StringBuilder(8 * n)
+    var k     = 0
+    while (k < n) {
+      if (k > 0) sb.append(' ')
+      val r = rank(wseed, i * 16 + k, Vocab)
+      sb.append(if (mix(seed, i * 31 + k) % 11 == 0) capitals(r) else words(r))
+      k += 1
     }
-    val tail = if (mix(seed, i * 7) % 13 == 0) s" ${((mix(seed, i) >>> 5) % 1000)}" else ""
-    ws.mkString(" ") + tail
+    if (mix(seed, i * 7) % 13 == 0) sb.append(' ').append((h >>> 5) % 1000)
+    sb.toString
   }
 
   /** Sorted dictionary of the vocabulary's most frequent words. */
   def dictionary(vocab: Int = 2000): Vector[String] =
-    (common ++ (common.size until vocab).map(r => s"w${r}x")).sorted
+    (common ++ (common.size until vocab).map(spelled)).sorted
 
   // ------------------------------------------------------------- NOAA
 

@@ -1,6 +1,8 @@
 package repro.cmds
 
-import java.util.regex.Pattern
+import java.nio.charset.StandardCharsets.UTF_8
+import java.security.MessageDigest
+import java.util.regex.{Matcher, Pattern}
 import repro.core.Annotations.Resolved
 import repro.core.PClass
 
@@ -196,18 +198,20 @@ object Kernels extends Serializable {
     require(parts.size >= 2, s"sed: bad substitution: $script")
     val global = parts.lift(2).exists(_.contains('g'))
     val re     = Pattern.compile(LineDfa.parse(parts(0), ere = r.flags("-E") || r.flags("-r")).java)
-    // sed `&` (whole match) → Java `$0`; escape Java-special chars otherwise
+    // as `Matcher` text: `&` is the match and `\1`–`\9` a group; `\&`,
+    // `\\` and any other escaped char are that char, quoted like every literal
     val repl = {
       val raw = parts(1)
       val sb  = new StringBuilder
       var i   = 0
       while (i < raw.length) {
-        raw.charAt(i) match {
-          case '\\' if i + 1 < raw.length => sb += raw.charAt(i + 1); i += 2
-          case '&'  => sb ++= "$0"; i += 1
-          case '$'  => sb ++= "\\$"; i += 1
-          case c    => sb += c; i += 1
-        }
+        val c = raw.charAt(i)
+        if (c == '&') { sb ++= "$0"; i += 1 }
+        else if (c == '\\' && i + 1 < raw.length) {
+          val e = raw.charAt(i + 1)
+          if (e >= '1' && e <= '9') sb += '$' += e else sb ++= Matcher.quoteReplacement(e.toString)
+          i += 2
+        } else { sb ++= Matcher.quoteReplacement(c.toString); i += 1 }
       }
       sb.toString
     }
@@ -217,14 +221,19 @@ object Kernels extends Serializable {
     }
   }
 
+  /** `s` split at each unescaped `d`. An escaped `d` becomes `d`; any
+    * other escape pair is kept whole, so `\\` never escapes what follows. */
   private def splitUnescaped(s: String, d: Char): List[String] = {
     val out = List.newBuilder[String]
     val sb  = new StringBuilder
     var i   = 0
     while (i < s.length) {
       val c = s.charAt(i)
-      if (c == '\\' && i + 1 < s.length && s.charAt(i + 1) == d) { sb += d; i += 2 }
-      else if (c == d) { out += sb.toString; sb.clear(); i += 1 }
+      if (c == '\\' && i + 1 < s.length) {
+        val e = s.charAt(i + 1)
+        if (e == d) sb += d else sb += c += e
+        i += 2
+      } else if (c == d) { out += sb.toString; sb.clear(); i += 1 }
       else { sb += c; i += 1 }
     }
     out += sb.toString
@@ -265,19 +274,17 @@ object Kernels extends Serializable {
     out.result()
   }
 
-  /** Number of fields [[blankFields]] would return, not counting an empty
-    * one: `wc -w`'s word count. */
+  /** `wc -w`'s word count, as GNU counts in the C locale: a printable
+    * ASCII char starts a word and an [[isBlank]] ends one; any other char
+    * (a control, anything past ASCII) does neither. */
   private def wordCount(line: String): Long = {
-    var i  = 0
-    var hi = line.length
-    while (i < hi && line.charAt(i) <= ' ') i += 1
-    while (hi > i && line.charAt(hi - 1) <= ' ') hi -= 1
-    var n = 0L
+    var n      = 0L
     var inWord = false
-    while (i < hi) {
-      val blank = isBlank(line.charAt(i))
-      if (!blank && !inWord) n += 1
-      inWord = !blank
+    var i      = 0
+    while (i < line.length) {
+      val c = line.charAt(i)
+      if (isBlank(c)) inWord = false
+      else if (!inWord && c > ' ' && c < '\u007f') { n += 1; inWord = true }
       i += 1
     }
     n
@@ -424,16 +431,45 @@ object Kernels extends Serializable {
     }
   }
 
+  /** Bytes of `line` in UTF-8, as `getBytes(UTF_8)` encodes it: a
+    * surrogate pair is 4 bytes, a lone surrogate one `?`. */
+  private def utf8Length(line: String): Long = {
+    var n = 0L
+    var i = 0
+    while (i < line.length) {
+      val c = line.charAt(i)
+      if (c < 0x80) n += 1
+      else if (c < 0x800) n += 2
+      else if (Character.isHighSurrogate(c) && i + 1 < line.length &&
+               Character.isLowSurrogate(line.charAt(i + 1))) { n += 4; i += 1 }
+      else if (Character.isSurrogate(c)) n += 1
+      else n += 3
+      i += 1
+    }
+    n
+  }
+
+  /** `wc`'s counts of stdin as GNU prints them: one count as is, several
+    * each padded to width 7. */
+  private def wcLine(counts: Seq[Long]): String =
+    if (counts.size == 1) counts.head.toString else counts.map(c => f"$c%7d").mkString(" ")
+
+  /** `wc [-l] [-w] [-c]`: lines, words and UTF-8 bytes, in that order. */
   private def wcWhole(r: Resolved): Vector[String] => Vector[String] = {
-    val sel0 = List("-l" -> r.flags.contains("-l"), "-w" -> r.flags.contains("-w"),
-                    "-c" -> r.flags.contains("-c")).filter(_._2).map(_._1)
-    val sel  = if (sel0.isEmpty) List("-l", "-w", "-c") else sel0
+    val all   = !List("-l", "-w", "-c").exists(r.flags)
+    val lines = all || r.flags("-l")
+    val words = all || r.flags("-w")
+    val bytes = all || r.flags("-c")
     v => {
-      val l = v.size.toLong
-      lazy val w = v.foldLeft(0L)(_ + wordCount(_))
-      lazy val c = v.foldLeft(0L)(_ + _.length + 1) // + newline
-      Vector(sel.map { case "-l" => l; case "-w" => w; case "-c" => c }
-                .mkString(" "))
+      var w  = 0L
+      var c  = 0L
+      val it = v.iterator
+      while (it.hasNext) {
+        val line = it.next()
+        if (words) w += wordCount(line)
+        if (bytes) c += utf8Length(line) + 1 // + newline
+      }
+      Vector(wcLine(List(lines -> v.size.toLong, words -> w, bytes -> c).collect { case (true, n) => n }))
     }
   }
 
@@ -504,10 +540,38 @@ object Kernels extends Serializable {
   private def fmtNum(d: Double): String =
     if (d == d.floor && math.abs(d) < 1e15) d.toLong.toString else d.toString
 
-  private def sha1Whole(v: Vector[String]): Vector[String] = {
-    val md = java.security.MessageDigest.getInstance("SHA-1")
-    v.foreach { l => md.update(l.getBytes("UTF-8")); md.update('\n'.toByte) }
+  /** `md5sum`, `sha1sum` or `sha256sum` of stdin: the digest `alg` of the
+    * UTF-8 lines, each followed by `\n`. */
+  private def digestWhole(alg: String)(v: Vector[String]): Vector[String] = {
+    val md = MessageDigest.getInstance(alg)
+    v.foreach { l => md.update(l.getBytes(UTF_8)); md.update('\n'.toByte) }
     Vector(md.digest().map("%02x".format(_)).mkString + "  -")
+  }
+
+  private val digests = Map("md5sum" -> "MD5", "sha1sum" -> "SHA-1", "sha256sum" -> "SHA-256")
+
+  /** The CRC-32 of one byte for polynomial 0x04C11DB7, most significant bit first. */
+  private val crcTable: Array[Int] = Array.tabulate(256) { b =>
+    var c = b << 24
+    (0 until 8).foreach(_ => c = if (c < 0) (c << 1) ^ 0x04c11db7 else c << 1)
+    c
+  }
+
+  /** POSIX `cksum` of stdin: the CRC of the bytes and then of their count,
+    * least significant byte first, complemented; then the count. */
+  private def cksumWhole(v: Vector[String]): Vector[String] = {
+    var crc = 0
+    def add(b: Int): Unit = crc = (crc << 8) ^ crcTable(((crc >>> 24) ^ b) & 0xff)
+    var n = 0L
+    v.foreach { l =>
+      val bytes = l.getBytes(UTF_8)
+      bytes.foreach(add(_))
+      add('\n')
+      n += bytes.length + 1
+    }
+    var len = n
+    while (len != 0) { add((len & 0xff).toInt); len >>>= 8 }
+    Vector(s"${~crc & 0xffffffffL} $n")
   }
 
   /** Trimmed-prefix/suffix structural diff in GNU's normal format: one hunk
@@ -671,7 +735,7 @@ object Kernels extends Serializable {
           val files = batch.map(f => (f, ctx.fetch(f)))
           if (files.size <= 1) files.map { case (f, v) => s"${v.size} $f" }
           else {
-            val bytes = files.iterator.flatMap(_._2).map(_.getBytes("UTF-8").length + 1L).sum
+            val bytes = files.iterator.flatMap(_._2).map(utf8Length(_) + 1).sum
             val width = bytes.toString.length
             (files.map { case (f, v) => (v.size, f) } :+ ((files.map(_._2.size).sum, "total")))
               .map { case (n, f) => s"%${width}d %s".format(n, f) }
@@ -736,11 +800,8 @@ object Kernels extends Serializable {
       require(r.flags.contains("-n") && m.matches(), s"sed: unsupported script: ${r.args.mkString(" ")}")
       val n = m.group(1).toInt
       _ => ss => concat(ss).slice(n - 1, n)
-    case "sha1sum" | "md5sum" | "sha256sum" => _ => ss => sha1Whole(concat(ss))
-    case "cksum" => _ => ss => {
-      val v = concat(ss)
-      Vector(s"${v.hashCode.toLong & 0xffffffffL} ${v.map(_.length + 1).sum}")
-    }
+    case d if digests.contains(d) => _ => ss => digestWhole(digests(d))(concat(ss))
+    case "cksum" => _ => ss => cksumWhole(concat(ss))
     case "xargs" =>
       val n = r.flagVals.get("-n").map(_.toInt)
       ctx => ss => {
@@ -826,7 +887,7 @@ object Kernels extends Serializable {
         // one line of counts per part, summed column by column
         parts.map(p => blankFields(p.head).map(_.toLong))
           .reduceOption((a, b) => a.zip(b).map { case (x, y) => x + y })
-          .map(_.mkString(" ")).toVector
+          .map(wcLine(_)).toVector
       case "tac" => concat(parts.reverse)
       case other => throw new IllegalArgumentException(s"unknown aggregator: $other")
     }

@@ -33,12 +33,15 @@ object AnnotationLib {
     // tr's operands are character sets, never files: stdin only
     Annotation("tr", List(Clause(Always, Stateless, List(In(StdinRef)))),
                shortCombined = true),
-    Annotation("grep", List(
-      // operand 0 is the pattern; files (if any) start at operand 1
-      Clause(Flag("-c"), Pure, List(In(OperandsFrom(1))), Some("sum")),
-      Clause(Flag("-n"), Pure, List(In(OperandsFrom(1)))),
-      Clause(Always, Stateless, List(In(OperandsFrom(1)))),
-    ), valueFlags = Set("-e", "-f"), shortCombined = true, files = AtMostOne),
+    Annotation("grep", {
+      // operand 0 is the pattern, and files (if any) start at operand 1,
+      // unless -e or -f gives the pattern: then every operand is a file
+      def clauses(p: Pred, cls: PClass, agg: Option[String] = None) = List(
+        Clause(p && (Flag("-e") || Flag("-f")), cls, filterIn, agg),
+        Clause(p, cls, List(In(OperandsFrom(1))), agg))
+      clauses(Flag("-c"), Pure, Some("sum")) ++ clauses(Flag("-n"), Pure) ++
+        clauses(Always, Stateless)
+    }, valueFlags = Set("-e", "-f"), shortCombined = true, files = AtMostOne),
     simple("cut", Stateless, valueFlags = Set("-d", "-f", "-c")),
     Annotation("sed", List(
       // operand 0 is the script; substitution-only scripts are per-line maps

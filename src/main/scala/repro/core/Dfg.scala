@@ -144,6 +144,11 @@ object Dfg {
 
     def removeEdge(id: Int): Unit = edges.remove(id)
 
+    /** Remove `edge`, the node that writes it, and recursively what feeds
+      * that node: in a pipeline each of them feeds only the next. */
+    def dropUpstream(edge: Int): Unit =
+      edges.remove(edge).flatMap(_.from).flatMap(nodes.remove).foreach(_.ins.foreach(dropUpstream))
+
     def setSink(edge: Int, file: String): Unit =
       edges(edge) = edges(edge).copy(sink = Some(file))
 

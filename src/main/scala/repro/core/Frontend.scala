@@ -18,7 +18,9 @@ import Dfg._
   * redirections the region cannot honour: `<` after a pipe, `>` before
   * one, a target that does not expand, and two of a kind on one stage,
   * and file operands that the command's record says GNU does not read as
-  * the region would (`tac a b`, `wc -l a`).
+  * the region would (`tac a b`, `wc -l a`). A stage after a pipe that
+  * reads no stdin (`cat a | grep -e x b`) drops the stages before it, whose
+  * output `sh` sends to a pipe nobody reads.
   */
 object Frontend {
 
@@ -122,6 +124,10 @@ object Frontend {
             s"${r.name}: a file operand, which GNU names in its output or changes in place")
           case _ => streamEdges
         }
+
+        // a stage that reads no stdin leaves the pipe unread: under sh the
+        // stages before it write to nowhere, so they leave the graph
+        if (!r.inputs.contains(StreamSpec.Std)) prevOut.foreach(b.dropUpstream)
 
         val outEdge = b.freshEdge()
         redirOut.foreach(f => b.setSink(outEdge, f))

@@ -7,7 +7,6 @@ import java.util.concurrent.TimeUnit
 
 import scala.jdk.CollectionConverters._
 
-import repro.cmds.Kernels
 import repro.core.Dfg.{CmdOp, SrcFile}
 import repro.core.Frontend
 
@@ -19,9 +18,10 @@ import repro.core.Frontend
   *
   * A script is skipped, never run, when it reads a URL (an input named
   * `scheme://…`, or a `curl`/`wget` stage, also under `xargs`), or when one
-  * of its commands (an `xargs` inner command too) is not installed. When a
-  * kernel reads store files by name (`Kernels.readsStore`), every file the
-  * Store names is written, so `sh` finds the files an `xargs` stage lists.
+  * of its commands (an `xargs` inner command too) is not installed. Every
+  * file the Store names is written, not only those the graph reads: `sh`
+  * finds the files an `xargs` stage lists, and a graph that reads the
+  * wrong file cannot match only because `sh` found no file either.
   */
 object GnuOracle {
 
@@ -48,9 +48,8 @@ object GnuOracle {
     val tools   = cmds.flatMap(r => r.name :: r.inner.map(_.name).toList).distinct.sorted
     val written = regions.flatMap(_.outputs.flatMap(_.sink)).toSet
     val read    = regions.flatMap(_.inputs.flatMap(_.src)).collect { case SrcFile(f) => f }
-    val inputs  = (read ++ (if (cmds.exists(Kernels.readsStore)) store.names else Nil))
-      .distinct.filterNot(written)
-    inputs.find(_.contains("://")).map(u => Skipped(s"reads the URL $u"))
+    val inputs  = (read ++ store.names.filterNot(_.contains("://"))).distinct.filterNot(written)
+    read.find(_.contains("://")).map(u => Skipped(s"reads the URL $u"))
       .orElse(tools.find(fetchers).map(t => Skipped(s"fetches URLs with $t")))
       .orElse(tools.find(!available(_)).map(t => Skipped(s"$t is not installed")))
       .getOrElse {

@@ -16,7 +16,20 @@ import org.apache.spark.rdd.RDD
 object Store {
   /** Pure description of a synthetic file (top-level so that closures over
     * it never capture a Store instance — Spark ships these to executors). */
-  final case class GenFile(n: Long, gen: Long => String) extends Serializable
+  final case class GenFile(n: Long, gen: Long => String) extends Serializable {
+    /** Lines `[lo, hi)`, each generated as it is read: the one read loop
+      * behind every fetch and every partition. Nothing is kept between
+      * reads. */
+    def lines(lo: Long, hi: Long): Iterator[String] = new Iterator[String] {
+      private var i = lo
+      override def knownSize: Int = (hi - i).toInt
+      def hasNext: Boolean = i < hi
+      def next(): String = { val l = gen(i); i += 1; l }
+    }
+
+    /** Every line, generated afresh. */
+    def all: Vector[String] = lines(0L, n).toVector
+  }
 
   /** Lines `[lo, hi)` of `f` as ONE partition. An RDD of its own, because
     * `sc.range(lo, hi).map(f.gen)` spent about 4 ms per read in Spark's
@@ -25,8 +38,14 @@ object Store {
       extends RDD[String](sc, Nil) {
     override protected def getPartitions: Array[Partition] = Array(OnlyPartition)
     override def compute(p: Partition, tc: TaskContext): Iterator[String] =
-      Iterator.range(0, (hi - lo).toInt).map(k => f.gen(lo + k))
+      f.lines(lo, hi)
   }
+
+  /** The file `name`: the one added under it, else the first fallback's. */
+  private def resolve(name: String, named: String => Option[GenFile],
+                      fallbacks: List[String => Option[GenFile]]): GenFile =
+    named(name).orElse(fallbacks.view.flatMap(_(name)).headOption).getOrElse(
+      throw new IllegalArgumentException(s"store: no such file '$name'"))
 
   private case object OnlyPartition extends Partition {
     override def index: Int = 0
@@ -57,28 +76,17 @@ final class Store(@transient private val sc: SparkContext) {
   /** The names of the files added by name (not the fallbacks'). */
   def names: List[String] = files.keys.toList.sorted
 
-  private def lookup(name: String): GenFile =
-    files.getOrElse(name,
-      fallbacks.view.flatMap(_(name)).headOption.getOrElse(
-        throw new IllegalArgumentException(s"store: no such file '$name'")))
+  private def lookup(name: String): GenFile = Store.resolve(name, files.get, fallbacks)
 
   /** Driver-side materialization (small inputs, statics, oracle checks). */
-  def fetch(name: String): Vector[String] = {
-    val f = lookup(name)
-    Vector.tabulate(f.n.toInt)(i => f.gen(i.toLong))
-  }
+  def fetch(name: String): Vector[String] = lookup(name).all
 
   /** Serializable fetch function for executor-side use (`xargs curl`): a
     * snapshot of every file, so only the kernels that read files get it. */
   def fetchFn: String => Vector[String] = {
     val snapshot = files.toMap
     val fb       = fallbacks
-    (name: String) => {
-      val f = snapshot.getOrElse(name,
-        fb.view.flatMap(_(name)).headOption.getOrElse(
-          throw new IllegalArgumentException(s"store: no such file '$name'")))
-      Vector.tabulate(f.n.toInt)(i => f.gen(i.toLong))
-    }
+    (name: String) => Store.resolve(name, snapshot.get, fb).all
   }
 
   /** The file as an ordered single-partition RDD. */
@@ -104,6 +112,6 @@ final class Store(@transient private val sc: SparkContext) {
   def fetchPart(name: String, i: Int, of: Int): Vector[String] = {
     val f        = lookup(name)
     val (lo, hi) = chunk(f, i, of)
-    Vector.tabulate((hi - lo).toInt)(k => f.gen(lo + k))
+    f.lines(lo, hi).toVector
   }
 }

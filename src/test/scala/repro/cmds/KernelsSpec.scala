@@ -187,10 +187,10 @@ class KernelsSpec extends AnyFunSuite {
     assert(run("wc", List("-l"), Vector("a", "b", "c")) == Vector("3"))
   }
   test("wc -lw counts lines and words") {
-    assert(run("wc", List("-lw"), Vector("a b", "c")) == Vector("2 3"))
+    assert(run("wc", List("-lw"), Vector("a b", "c")) == Vector("      2       3"))
   }
   test("wc default prints l w c") {
-    assert(run("wc", Nil, Vector("ab cd")) == Vector("1 2 6"))
+    assert(run("wc", Nil, Vector("ab cd")) == Vector("      1       2       6"))
   }
 
   // ------------------------------------------------- head/tail/tac/nl/cat
@@ -580,7 +580,10 @@ object KernelsRef {
         }
     }
 
-  def wordCount(l: String): Long = l.trim.split("\\s+").count(_.nonEmpty).toLong
+  /** GNU `wc -w` in the C locale: the blank-separated pieces that hold a
+    * printable ASCII char. */
+  def wordCount(l: String): Long =
+    l.split("[ \t\n\u000b\f\r]+").count(_.exists(c => c > ' ' && c < '\u007f')).toLong
 
   /** What `LC_ALL=C grep PATTERN` (a BRE) keeps, written out by hand: `?`
     * and `|` are literal, `\\s` is `[[:space:]]`, `$` ends the line. On

@@ -128,6 +128,7 @@ class LawsSpec extends AnyFunSuite {
   checkStateless("grep", List("-v", "42"))
   checkStateless("grep", List("-iv", "999"))
   checkStateless("grep", List("-x", "the"))
+  checkStateless("grep", List("-e", "the", "-e", "42"))
   checkStateless("cut", List("-d", " ", "-f", "2"))
   checkStateless("cut", List("-c", "1-5"))
   checkStateless("sed", List("s/the/THE/"))

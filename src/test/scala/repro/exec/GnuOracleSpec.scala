@@ -172,7 +172,8 @@ class GnuOracleSpec extends SparkSpec {
     }
   }
 
-  // ---- repeated grep patterns; sed reads a BRE, or an ERE under -E
+  // ---- repeated grep patterns; sed reads a BRE, or an ERE under -E, and
+  // its replacement's escapes as GNU does; the digests are GNU's
 
   List(
     ("grep -e a -e b", Vector("a", "b", "c"), Vector("a", "b")),
@@ -181,6 +182,15 @@ class GnuOracleSpec extends SparkSpec {
     ("sed 's/a|b/X/'", Vector("a|b"), Vector("X")),
     ("sed -E 's/a+/X/'", Vector("aa+"), Vector("X+")),
     ("sed 's/a\\+/X/'", Vector("aa+"), Vector("X+")),
+    ("sed 's/\\(a\\)b/\\1X/'", Vector("ab"), Vector("aX")),
+    ("sed 's/a/\\&/'", Vector("ab"), Vector("&b")),
+    ("sed 's/a/\\\\/'", Vector("ab"), Vector("\\b")),
+    ("sed 's/a/[&]$1/g'", Vector("aba"), Vector("[a]$1b[a]$1")),
+    ("md5sum", Vector("ab", "\u00e9"), Vector("6d3fc03b5dbdbf8a15a9fbb9e0dbf7f5  -")),
+    ("sha1sum", Vector("ab", "\u00e9"), Vector("7f5b7a5a8836958600dc011a90f0187a28912ec6  -")),
+    ("sha256sum", Vector("ab", "\u00e9"),
+      Vector("a4b52f0c1720793b8615dcce3814c011db7360ae912ee1333752aee61c60fafb  -")),
+    ("cksum", Vector("ab", "\u00e9"), Vector("1317028025 6")),
   ).foreach { case (cmd, in, out) =>
     test(s"sh == RefExec: $cmd") {
       val script = s"cat in.txt | $cmd"
@@ -189,6 +199,35 @@ class GnuOracleSpec extends SparkSpec {
       assert(ours.stdout == out)
       assertMatch(GnuOracle.check(script, s, ours))
     }
+  }
+
+  // ---- wc prints what GNU prints for a pipe
+
+  /** Non-ASCII text: 2- to 4-byte UTF-8, a control char, an empty line. */
+  private def utf8: Store = new Store(spark.sparkContext).addLines("in.txt",
+    Vector("a b", "\u00e9 \u00fc x", "", "\u65e5 text", "\ud834\udd1e z", "c\u0001d \u0001"))
+
+  List(
+    "cat in.txt | wc"     -> "      6       6      35",
+    "cat in.txt | wc -lw" -> "      6       6",
+    "cat in.txt | wc -c"  -> "35",
+  ).foreach { case (script, out) =>
+    test(s"sh == SparkExec at width 4 == RefExec: $script on UTF-8") {
+      val s   = utf8
+      val par = width4(script, s)
+      assert(par == sequential(script, s) && par.stdout == Vector(out))
+      assertMatch(GnuOracle.check(script, s, par))
+    }
+  }
+
+  // `cat other.txt` writes to a pipe grep never reads: -e makes in.txt a file
+  test("sh == RefExec: grep -e PAT FILE reads FILE, not the pipe") {
+    val script = "cat other.txt | grep -e a in.txt"
+    val s      = new Store(spark.sparkContext)
+      .addLines("other.txt", Vector("apple", "zzz")).addLines("in.txt", Vector("a1", "b2", "a3"))
+    val ours   = sequential(script, s)
+    assert(ours.stdout == Vector("a1", "a3"))
+    assertMatch(GnuOracle.check(script, s, ours))
   }
 
   test("sh's word count == the sum of wf's uniq -c counts at width 4") {
