@@ -431,28 +431,11 @@ object Kernels extends Serializable {
     }
   }
 
-  /** Bytes of `line` in UTF-8, as `getBytes(UTF_8)` encodes it: a
-    * surrogate pair is 4 bytes, a lone surrogate one `?`. */
-  private def utf8Length(line: String): Long = {
-    var n = 0L
-    var i = 0
-    while (i < line.length) {
-      val c = line.charAt(i)
-      if (c < 0x80) n += 1
-      else if (c < 0x800) n += 2
-      else if (Character.isHighSurrogate(c) && i + 1 < line.length &&
-               Character.isLowSurrogate(line.charAt(i + 1))) { n += 4; i += 1 }
-      else if (Character.isSurrogate(c)) n += 1
-      else n += 3
-      i += 1
-    }
-    n
-  }
-
   /** `wc`'s counts of stdin as GNU prints them: one count as is, several
-    * each padded to width 7. */
-  private def wcLine(counts: Seq[Long]): String =
-    if (counts.size == 1) counts.head.toString else counts.map(c => f"$c%7d").mkString(" ")
+    * each padded to `width`. GNU pads to 7 for a pipe, and for a regular
+    * file to the digits of its size, which it reads before counting. */
+  private def wcLine(counts: Seq[Long], width: Int = 7): String =
+    if (counts.size == 1) counts.head.toString else counts.map(("%" + width + "d").format(_)).mkString(" ")
 
   /** `wc [-l] [-w] [-c]`: lines, words and UTF-8 bytes, in that order. */
   private def wcWhole(r: Resolved): Vector[String] => Vector[String] = {
@@ -467,9 +450,11 @@ object Kernels extends Serializable {
       while (it.hasNext) {
         val line = it.next()
         if (words) w += wordCount(line)
-        if (bytes) c += utf8Length(line) + 1 // + newline
+        if (bytes || r.stdinFile) c += line.getBytes(UTF_8).length + 1 // + newline
       }
-      Vector(wcLine(List(lines -> v.size.toLong, words -> w, bytes -> c).collect { case (true, n) => n }))
+      val counts = List(lines -> v.size.toLong, words -> w, bytes -> c).collect { case (true, n) => n }
+      // a file read with `<` is the whole stream, so its size is `c`
+      Vector(if (r.stdinFile) wcLine(counts, c.toString.length) else wcLine(counts))
     }
   }
 
@@ -735,7 +720,7 @@ object Kernels extends Serializable {
           val files = batch.map(f => (f, ctx.fetch(f)))
           if (files.size <= 1) files.map { case (f, v) => s"${v.size} $f" }
           else {
-            val bytes = files.iterator.flatMap(_._2).map(utf8Length(_) + 1).sum
+            val bytes = files.iterator.flatMap(_._2).map(_.getBytes("UTF-8").length + 1L).sum
             val width = bytes.toString.length
             (files.map { case (f, v) => (v.size, f) } :+ ((files.map(_._2.size).sum, "total")))
               .map { case (n, f) => s"%${width}d %s".format(n, f) }

@@ -177,6 +177,12 @@ object AnnotationLib {
     case None    => opaque(name, args)
   }
 
+  /** The view of an invocation whose stdin is a regular file (`cmd < f`).
+    * GNU `wc` then pads several counts to the digits of the file's size,
+    * which no chunk's counts tell an aggregator, so `wc` stays sequential. */
+  def readingFile(r: Resolved): Resolved =
+    r.copy(stdinFile = true, agg = if (r.name == "wc") None else r.agg)
+
   /** `xargs`'s own options and the inner command's words. `-n N` is the
     * only option its kernel implements; any other (`-L`, `--max-args`,
     * `-I`, `-P`, …) raises, since it changes what runs. */

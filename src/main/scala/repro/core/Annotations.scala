@@ -164,7 +164,8 @@ object Annotations {
   /** The resolved view of one command invocation: everything later phases
     * know about it. `vals` holds every value of each value flag, in order
     * (`grep -e a -e b`); `flagVals` the last one, as GNU reads a repeated
-    * `head -n`. `inner` is a higher-order command's invoked command. */
+    * `head -n`. `inner` is a higher-order command's invoked command.
+    * `stdinFile` says stdin is a regular file (`cmd < f`), not a pipe. */
   final case class Resolved(
       name: String,
       args: List[String],
@@ -177,6 +178,7 @@ object Annotations {
       files: FileOperands = FileOperands.Concat,
       inner: Option[Resolved] = None,
       opaque: Boolean = false,
+      stdinFile: Boolean = false,
   ) {
     def flagVals: Map[String, String] = vals.map { case (f, vs) => f -> vs.last }
   }

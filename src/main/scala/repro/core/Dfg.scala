@@ -144,8 +144,12 @@ object Dfg {
 
     def removeEdge(id: Int): Unit = edges.remove(id)
 
-    /** Remove `edge`, the node that writes it, and recursively what feeds
-      * that node: in a pipeline each of them feeds only the next. */
+    /** The nodes that write `edge` and, recursively, what feeds them. */
+    def upstream(edge: Int): List[DNode] =
+      edges(edge).from.map(nodes).toList.flatMap(n => n :: n.ins.toList.flatMap(upstream))
+
+    /** Remove `edge` and its [[upstream]] nodes and edges: in a pipeline
+      * each of them feeds only the next. */
     def dropUpstream(edge: Int): Unit =
       edges.remove(edge).flatMap(_.from).flatMap(nodes.remove).foreach(_.ins.foreach(dropUpstream))
 

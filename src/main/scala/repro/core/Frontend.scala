@@ -3,6 +3,7 @@ package repro.core
 import Ast._
 import Annotations.{FileOperands, Resolved, StreamSpec, opaque}
 import Dfg._
+import PClass.SideEffectful
 
 /** Frontend (§4.1): identify dataflow regions in the shell AST and lift
   * each to a DFG.
@@ -20,7 +21,8 @@ import Dfg._
   * and file operands that the command's record says GNU does not read as
   * the region would (`tac a b`, `wc -l a`). A stage after a pipe that
   * reads no stdin (`cat a | grep -e x b`) drops the stages before it, whose
-  * output `sh` sends to a pipe nobody reads.
+  * output `sh` sends to a pipe nobody reads; it raises if one of them is
+  * opaque or (E), since `sh` still runs it (`cat a | tee c | grep -e x b`).
   */
 object Frontend {
 
@@ -76,10 +78,9 @@ object Frontend {
 
     stages.zipWithIndex.foreach {
       case (c: Cmd, i) =>
-        val r = resolveStage(c, env)
-
         val redirIn  = redirTarget(c, env) { case RedirIn(t) => t }
         val redirOut = redirTarget(c, env) { case RedirOut(t) => t }
+        val r = redirIn.fold(resolveStage(c, env))(_ => AnnotationLib.readingFile(resolveStage(c, env)))
         if (redirIn.isDefined && i > 0)
           throw new IllegalArgumentException(
             s"${r.name}: `<` on a stage after a pipe replaces the pipe's input")
@@ -126,8 +127,18 @@ object Frontend {
         }
 
         // a stage that reads no stdin leaves the pipe unread: under sh the
-        // stages before it write to nowhere, so they leave the graph
-        if (!r.inputs.contains(StreamSpec.Std)) prevOut.foreach(b.dropUpstream)
+        // stages before it write to nowhere, so they leave the graph, unless
+        // one may act beyond its stdout (`tee f`, a command without a record)
+        if (!r.inputs.contains(StreamSpec.Std)) prevOut.foreach { e =>
+          b.upstream(e).collectFirst {
+            case DNode(_, CmdOp(u), _, _) if u.cls == SideEffectful => u // opaque ones too
+          }.foreach { u =>
+            throw new IllegalArgumentException(
+              s"${(u.name :: u.args).mkString(" ")}: writes to a pipe ${r.name} never reads, and " +
+              "a stage that may act beyond its stdout cannot leave the region")
+          }
+          b.dropUpstream(e)
+        }
 
         val outEdge = b.freshEdge()
         redirOut.foreach(f => b.setSink(outEdge, f))

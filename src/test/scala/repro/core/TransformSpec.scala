@@ -160,6 +160,21 @@ class TransformSpec extends AnyFunSuite {
     repro.bench.Scripts.all.foreach(b => assert(regions(b.script).nonEmpty, b.name))
   }
 
+  test("a stage that reads no stdin drops the stages before it, unless one may act beyond its stdout") {
+    val g = regions("cat a.txt | tr a b | grep -e x b.txt").head
+    assert(g.nodes.size == 1 && g.inputs.flatMap(_.src) == List(SrcFile("b.txt")))
+    // sh still runs them: tee writes c.txt, and $y may be any program
+    List("cat a.txt | tee c.txt | grep -e x b.txt" -> "tee c.txt:",
+         "cat a.txt | $y | grep -e x b.txt"        -> "<dynamic>:").foreach { case (src, who) =>
+      val e = intercept[IllegalArgumentException](regions(src))
+      assert(e.getMessage.startsWith(who), src)
+    }
+  }
+
+  test("wc reading a file with `<` stays sequential; from a pipe it is aggregated") {
+    assert(count(par("wc < in.txt", 4), "agg") == 0 && count(par("cat in.txt | wc", 4), "agg") > 0)
+  }
+
   test("static inputs are replicated to every replica (comm -13)") {
     val g = par("cat f | sort -u | comm -13 dict.txt -", 4)
     val statics = g.edges.values.filter(_.static)

@@ -201,7 +201,7 @@ class GnuOracleSpec extends SparkSpec {
     }
   }
 
-  // ---- wc prints what GNU prints for a pipe
+  // ---- wc prints what GNU prints, for a pipe and for a file read with `<`
 
   /** Non-ASCII text: 2- to 4-byte UTF-8, a control char, an empty line. */
   private def utf8: Store = new Store(spark.sparkContext).addLines("in.txt",
@@ -211,6 +211,9 @@ class GnuOracleSpec extends SparkSpec {
     "cat in.txt | wc"     -> "      6       6      35",
     "cat in.txt | wc -lw" -> "      6       6",
     "cat in.txt | wc -c"  -> "35",
+    "wc < in.txt"         -> " 6  6 35",
+    "wc -lw < in.txt"     -> " 6  6",
+    "wc -w < in.txt"      -> "6",
   ).foreach { case (script, out) =>
     test(s"sh == SparkExec at width 4 == RefExec: $script on UTF-8") {
       val s   = utf8
