@@ -7,11 +7,12 @@ import repro.core.AnnotationLib
 import repro.exec.Store
 
 /** Warm throughput of the stateless kernels that the evaluation scripts
-  * run, one JVM, no Spark: each kernel is built and run over the whole
-  * input as one Spark task builds and runs it over a partition, 5 times to
-  * warm up and then 15 times, and the best time gives the MB/s (input
-  * bytes, newlines counted). `Store.fetch` of the same input, generated
-  * afresh on each call, is timed the same way. A cold single replay, as
+  * run, and of `sort` and `sort -u`, one JVM, no Spark: each kernel is
+  * built and run over the whole input as one Spark task builds and runs
+  * it over a partition, 5 times to warm up and then 15 times, and the best
+  * time gives the MB/s (input bytes, newlines counted). `Store.fetch` of
+  * the same input, generated afresh on each call, is timed the same way.
+  * A cold single replay, as
   * `perfbench` traces it, moves by up to 3× between runs of one commit;
   * the best of many warm calls does not.
   *
@@ -42,6 +43,21 @@ class KernelThroughputBench extends AnyFunSuite {
     "cut -c 1-10"           -> text,
     "sed s/the/THE/"        -> text)
 
+  /** The word stream `tr -cs A-Za-z '\n'` makes of the prose: few distinct
+    * lines, each repeated many times. */
+  private val wordStream = {
+    val tr = Kernels.stateless(AnnotationLib.resolve("tr", List("-cs", "A-Za-z", "\\n"))).get(Ctx(Nil, _ => Vector.empty))
+    text.flatMap(tr(_))
+  }
+
+  /** Whole-stream sorts, on the word stream and on prose lines that are
+    * all distinct. */
+  private val sorts: List[(String, String, Vector[String])] = List(
+    ("sort (words)", "sort", wordStream),
+    ("sort -u (words)", "sort -u", wordStream),
+    ("sort (prose)", "sort", text),
+    ("sort -u (prose)", "sort -u", text))
+
   /** `cmd` split into words, single quotes removed. */
   private def argv(cmd: String): List[String] =
     """'[^']*'|\S+""".r.findAllIn(cmd).map(_.stripPrefix("'").stripSuffix("'")).toList
@@ -59,7 +75,7 @@ class KernelThroughputBench extends AnyFunSuite {
     ((1 to Calls).map(_ => call()).min, out)
   }
 
-  test("stateless kernel and Store.fetch throughput (MB/s, best of 15 warm calls)") {
+  test("stateless kernel, sort and Store.fetch throughput (MB/s, best of 15 warm calls)") {
     val ctx  = Ctx(Nil, _ => Vector.empty)
     val rows = kernels.map { case (cmd, in) =>
       val w  = argv(cmd)
@@ -72,10 +88,16 @@ class KernelThroughputBench extends AnyFunSuite {
       }
       (cmd, in.iterator.map(_.length + 1L).sum, out, ns)
     }
+    val sortRows = sorts.map { case (name, cmd, in) =>
+      val w = argv(cmd)
+      val f = Kernels.whole(AnnotationLib.resolve(w.head, w.tail))
+      val (ns, out) = best(() => f(ctx)(List(in)).size.toLong)
+      (name, in.iterator.map(_.length + 1L).sum, out, ns)
+    }
     // the read every input goes through: 50k prose lines generated afresh
     val store = new Store(null).add("unix50.txt", Lines.toLong, SynthText.textLine(13))
     val (ns, out) = best(() => store.fetch("unix50.txt").size.toLong)
-    val all = rows :+ (("Store.fetch unix50.txt", text.iterator.map(_.length + 1L).sum, out, ns))
+    val all = rows ++ sortRows :+ (("Store.fetch unix50.txt", text.iterator.map(_.length + 1L).sum, out, ns))
     println(f"${"kernel"}%-24s ${"in MB"}%7s ${"lines out"}%9s ${"MB/s"}%8s")
     all.foreach { case (cmd, bytes, out, ns) =>
       println(f"$cmd%-24s ${bytes / 1e6}%7.2f $out%9d ${bytes / 1e6 / (ns / 1e9)}%8.1f")

@@ -74,12 +74,17 @@ object Tables {
       "shortest-scripts" -> "(142, 574)", "difference" -> "(125, 509)",
       "set-difference" -> "(185, 761)", "bi-grams" -> "(155, 635)",
       "sort-sort" -> "(154, 634)")
+    // the paper's compile time includes emitting the parallel script
+    def compiled(b: Scripts.ScriptBench, w: Int): (Int, Double) = {
+      val t0 = System.nanoTime()
+      val r  = Compiler.pash(b.script, PashConfig(w))
+      r.script
+      (r.stats.nodes, (System.nanoTime() - t0) / 1e6)
+    }
     val rows = Scripts.oneLiners.map { b =>
-      val r16 = Compiler.pash(b.script, PashConfig(16))
-      val r64 = Compiler.pash(b.script, PashConfig(64))
-      Tab2Row(b.name, structureOf(b.script),
-              r16.stats.nodes, r64.stats.nodes,
-              r16.compileMillis, r64.compileMillis)
+      val (nodes16, ms16) = compiled(b, 16)
+      val (nodes64, ms64) = compiled(b, 64)
+      Tab2Row(b.name, structureOf(b.script), nodes16, nodes64, ms16, ms64)
     }
     val text = "Table 2 - One-liner summary (widths 16, 64)\n" + fmt(
       Seq("Script", "Structure", "Input", "#Nodes(16,64)", "paper#Nodes",

@@ -198,8 +198,9 @@ object Kernels extends Serializable {
     require(parts.size >= 2, s"sed: bad substitution: $script")
     val global = parts.lift(2).exists(_.contains('g'))
     val re     = Pattern.compile(LineDfa.parse(parts(0), ere = r.flags("-E") || r.flags("-r")).java)
-    // as `Matcher` text: `&` is the match and `\1`–`\9` a group; `\&`,
-    // `\\` and any other escaped char are that char, quoted like every literal
+    // as `Matcher` text: `&` is the match and `\1`–`\9` a group; `\n` is a
+    // newline and `\t` a tab, as in GNU `sed`; `\&`, `\\` and any other
+    // escaped char are that char, quoted like every literal
     val repl = {
       val raw = parts(1)
       val sb  = new StringBuilder
@@ -208,16 +209,23 @@ object Kernels extends Serializable {
         val c = raw.charAt(i)
         if (c == '&') { sb ++= "$0"; i += 1 }
         else if (c == '\\' && i + 1 < raw.length) {
-          val e = raw.charAt(i + 1)
-          if (e >= '1' && e <= '9') sb += '$' += e else sb ++= Matcher.quoteReplacement(e.toString)
+          raw.charAt(i + 1) match {
+            case e if e >= '1' && e <= '9' => sb += '$' += e
+            case 'n'                       => sb += '\n'
+            case 't'                       => sb += '\t'
+            case e                         => sb ++= Matcher.quoteReplacement(e.toString)
+          }
           i += 2
         } else { sb ++= Matcher.quoteReplacement(c.toString); i += 1 }
       }
       sb.toString
     }
+    // a newline in the output line ends it: the rest is the next line
+    val newline = repl.contains('\n')
     line => {
-      val m = re.matcher(line)
-      (if (global) m.replaceAll(repl) else m.replaceFirst(repl)) :: Nil
+      val m   = re.matcher(line)
+      val out = if (global) m.replaceAll(repl) else m.replaceFirst(repl)
+      if (newline) splitOn(out, '\n').toSeq else out :: Nil
     }
   }
 
@@ -321,6 +329,14 @@ object Kernels extends Serializable {
     * (the line itself without `-k`) and, under `-n`, its number. */
   private final class Keyed(val key: String, val num: Double, val line: String)
 
+  /** The plain sort counts its distinct lines while at most one in
+    * `RunShare` lines is new; past that share it sorts every line. It
+    * first looks at `RunSample` evenly spaced lines of a longer input, and
+    * sorts every line at once if more than that share of them differ, so
+    * an input of distinct lines pays for a few hundred lookups only. */
+  private val RunShare  = 4
+  private val RunSample = 1024
+
   /** GNU-sort-style order from flags: -n, -r, -u, -k F[,M], -t SEP; ties
     * fall back to full-line comparison (last resort, like GNU without -s),
     * except under `-u` with `-n` or `-k`, where GNU compares keys only.
@@ -340,6 +356,8 @@ object Kernels extends Serializable {
         case _           => (1, Int.MaxValue)
       }
     }
+    /** Without `-n`/`-k` lines the order calls equal are identical. */
+    private val plain = !numeric && keySpec.isEmpty
 
     private def decorate(line: String): Keyed = {
       val key = keySpec match {
@@ -367,21 +385,38 @@ object Kernels extends Serializable {
       if (reverse) base.reversed else base
     }
 
+    /** The plain order: String order, reversed under `-r`. */
+    private def plainOrder: java.util.Comparator[String] =
+      if (reverse) java.util.Comparator.reverseOrder[String]() else java.util.Comparator.naturalOrder[String]()
+
+    /** The order over undecorated lines. Each call decorates both lines, so
+      * it serves the few calls of a sample sort or a binary search. */
+    @transient lazy val order: java.util.Comparator[String] =
+      if (plain) plainOrder else (x, y) => keyedOrder.compare(decorate(x), decorate(y))
+
     /** The streams' lines in order (Timsort, stable); `-u` keeps the first
       * line of each run that the order calls equal. */
     def sorted(ss: List[Vector[String]]): Vector[String] = {
       val lines = new Array[String](ss.iterator.map(_.size).sum)
       ss.foldLeft(0) { (at, v) => v.copyToArray(lines, at); at + v.size }
+      sortInPlace(lines)
+    }
+
+    /** [[sorted]] over the lines of `lines`, which it reorders. */
+    def sortInPlace(lines: Array[String]): Vector[String] = {
       var n = lines.length // lines kept, moved to the front of `lines`
       var i = 0
-      if (!numeric && keySpec.isEmpty) {
-        java.util.Arrays.sort(lines, if (reverse) java.util.Comparator.reverseOrder[String]()
-                                     else java.util.Comparator.naturalOrder[String]())
-        if (unique) {
-          n = 0
-          while (i < lines.length) {
-            if (n == 0 || lines(i) != lines(n - 1)) { lines(n) = lines(i); n += 1 }
-            i += 1
+      if (plain) {
+        n = sortRuns(lines)
+        if (n < 0) {
+          java.util.Arrays.sort(lines, plainOrder)
+          n = lines.length
+          if (unique) {
+            n = 0
+            while (i < lines.length) {
+              if (n == 0 || lines(i) != lines(n - 1)) { lines(n) = lines(i); n += 1 }
+              i += 1
+            }
           }
         }
       } else {
@@ -397,6 +432,88 @@ object Kernels extends Serializable {
       }
       (if (n == lines.length) lines else lines.take(n)).toVector
     }
+
+    /** The plain sort of `lines` as runs of identical lines: count each
+      * distinct line in a hash map, sort only those, and write each one
+      * back as often as it came (once under `-u`) to the front of `lines`.
+      * Returns how many lines that wrote, or -1, with `lines` untouched,
+      * once more than one line in [[RunShare]] of the sample or of all
+      * lines is distinct. */
+    private def sortRuns(lines: Array[String]): Int = {
+      if (lines.length > RunSample) {
+        val sample = new java.util.HashSet[String]
+        var t = 0
+        while (t < RunSample) {
+          sample.add(lines((t.toLong * lines.length / RunSample).toInt))
+          if (sample.size * RunShare > RunSample) return -1
+          t += 1
+        }
+      }
+      val counts = new java.util.HashMap[String, Array[Int]]
+      var i = 0
+      while (i < lines.length) {
+        val c = counts.get(lines(i))
+        if (c != null) c(0) += 1
+        else if ((counts.size + 1L) * RunShare > lines.length) return -1
+        else counts.put(lines(i), Array(1))
+        i += 1
+      }
+      val runs = counts.entrySet.toArray(new Array[java.util.Map.Entry[String, Array[Int]]](0))
+      java.util.Arrays.sort(runs, java.util.Map.Entry.comparingByKey[String, Array[Int]](plainOrder))
+      var n = 0
+      runs.foreach { e =>
+        val end = n + (if (unique) 1 else e.getValue()(0))
+        while (n < end) { lines(n) = e.getKey; n += 1 }
+      }
+      n
+    }
+
+    /** The first index of sorted `part` whose line the order puts after
+      * `s`: every line of `part` up to `s` lies before it. */
+    def upperBound(part: IndexedSeq[String], s: String): Int = {
+      var lo = 0
+      var hi = part.length
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (order.compare(part(mid), s) <= 0) lo = mid + 1 else hi = mid
+      }
+      lo
+    }
+  }
+
+  /** `w - 1` splitters that cut the sorted parts whose `samples` they are
+    * into `w` key ranges of about equal size: the samples in `r`'s order,
+    * taken at evenly spaced ranks. No samples give no splitters. */
+  def sortSplitters(r: Resolved, samples: Seq[String], w: Int): Vector[String] = {
+    val s = samples.toArray
+    java.util.Arrays.sort(s, new SortKey(r).order)
+    if (s.isEmpty) Vector.empty
+    else Vector.tabulate(w - 1)(j => s((s.length.toLong * (j + 1) / w).toInt))
+  }
+
+  /** Range `i` of the `sort-m` aggregate of `parts`, each sorted by `r`:
+    * the lines of every part after splitter `i - 1` (from the first line
+    * if `i == 0`) and up to splitter `i` (to the last line if there is no
+    * splitter `i`), merged. The order puts every line it calls equal to
+    * another in the same range, so for any `splitters` in `r`'s order the
+    * ranges `0 to splitters.size` concatenated are `aggN("sort-m", r,
+    * parts)`, and under `-u` each range drops only its own ties. Ranges
+    * past the last splitter's successor are empty. */
+  def sortMRange(r: Resolved, parts: Seq[IndexedSeq[String]], splitters: IndexedSeq[String],
+                 i: Int): Vector[String] = {
+    val key = new SortKey(r)
+    val bounds = parts.map { p =>
+      val from = if (i == 0) 0 else if (i - 1 < splitters.size) key.upperBound(p, splitters(i - 1)) else p.length
+      val to   = if (i < splitters.size) key.upperBound(p, splitters(i)) else p.length
+      (from, to)
+    }
+    val lines = new Array[String](bounds.iterator.map { case (a, b) => b - a }.sum)
+    var at = 0
+    parts.zip(bounds).foreach { case (p, (from, to)) =>
+      var j = from
+      while (j < to) { lines(at) = p(j); at += 1; j += 1 }
+    }
+    key.sortInPlace(lines)
   }
 
   // ====================================================== misc machinery

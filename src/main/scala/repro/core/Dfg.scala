@@ -78,6 +78,12 @@ object Dfg {
       out.result()
     }
 
+    /** The edge that `e` carries, looking back through relays. */
+    def throughRelays(e: Int): Int = edges(e).from.map(nodes) match {
+      case Some(DNode(_, RelayOp(_, _), ins, _)) => throughRelays(ins.head)
+      case _                                     => e
+    }
+
     /** Leaf edges, in stream order, of each maximal same-key aggregate
       * tree, keyed by the tree's root node. The transform builds binary
       * trees with relays between levels; an executor may merge a whole tree
@@ -85,12 +91,14 @@ object Dfg {
       * through, and internal aggregate nodes are not keys. */
     def aggTrees: Map[Int, Vector[Int]] = {
       val inner = collection.mutable.Set.empty[Int]
-      def leaves(e: Int, key: String): Vector[Int] = edges(e).from.map(nodes) match {
-        case Some(DNode(_, RelayOp(_, _), ins, _)) => leaves(ins.head, key)
-        case Some(DNode(id, AggOp(k, _), ins, _)) if k == key =>
-          inner += id
-          ins.flatMap(leaves(_, key))
-        case _ => Vector(e)
+      def leaves(e: Int, key: String): Vector[Int] = {
+        val in = throughRelays(e)
+        edges(in).from.map(nodes) match {
+          case Some(DNode(id, AggOp(k, _), ins, _)) if k == key =>
+            inner += id
+            ins.flatMap(leaves(_, key))
+          case _ => Vector(in)
+        }
       }
       val trees = nodes.values.collect { case DNode(id, AggOp(key, _), ins, _) =>
         id -> ins.flatMap(leaves(_, key))

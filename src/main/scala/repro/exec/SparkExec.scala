@@ -9,6 +9,7 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.cmds.Kernels
 import repro.cmds.Kernels.Ctx
+import repro.core.Annotations.Resolved
 import repro.core.Dfg._
 import repro.core.PClass
 
@@ -27,18 +28,31 @@ import repro.core.PClass
   *  - map replica  → whole-stream kernel over its chunk;
   *  - aggregate    → one n-ary merge over the leaves of the maximal
   *    same-key aggregate tree: in ONE task, or on the driver when the
-  *    tree's root is a graph output;
-  *  - `split`      → the input as ONE cached block; each output's task
-  *    keeps its contiguous slice of it (faithful to PaSh's line-counting
-  *    split, which also consumes its whole input before dispersing it);
+  *    tree's root is a graph output. Two trees whose root feeds a `split`
+  *    are never merged:
+  *    - `sort -m` → a key-range exchange. The job that caches the sorted
+  *      leaves samples each of them, and the driver picks `w - 1`
+  *      splitters in the command's order. Split output i is ONE task that
+  *      takes each leaf's lines in key range i (binary search) and merges
+  *      them. Lines the order calls equal share a range, so `-u` stays
+  *      exact.
+  *    - `uniq [-c]` → kept parts, when leaf i is a replica that reads
+  *      range i of such a cut through relays only: no line repeats across
+  *      two ranges, so the merge would join nothing, and split output i is
+  *      leaf i. Any other tree is merged;
+  *  - `split`      → (of anything else) the input as ONE cached block; each
+  *    output's task keeps its contiguous slice of it (faithful to PaSh's
+  *    line-counting split, which also consumes its whole input before
+  *    dispersing it);
   *  - relay        → identity (Spark tasks have no shell laziness; the
   *    eager/blocking distinction is studied on the discrete-event
   *    simulator instead — DESIGN.md).
   *
   * Jobs are few, because each one costs the driver milliseconds: a region
-  * runs one job per aggregate tree (caching the tree's leaves, one task
-  * per chunk), plus one job that collects its outputs. A merge or a split
-  * runs inside the tasks that read it. Every function handed to Spark is
+  * runs one job per aggregate tree that it cuts or merges in a task
+  * (caching the tree's leaves, one task per chunk), plus one job that
+  * collects its outputs. A merge, a range or a split runs inside the
+  * tasks that read it. Every function handed to Spark is
   * a named class (`TaskFns.scala`), so Spark's closure cleaner skips it.
   *
   * The *sequential baseline* is the untransformed DFG: every node sees a
@@ -87,10 +101,25 @@ final class SparkExec(spark: SparkSession, store: Store) {
     val blocks = streams.map(s => blocksOf(s, cacheAll || s.getNumPartitions > 1))
     val cached = blocks.filter(_.getStorageLevel != StorageLevel.NONE)
     if (cached.nonEmpty) runJob(sc.union(cached), cached, BlockLines)
+    gathered(blocks).mapPartitions(Gather(streams.size, f))
+  }
+
+  /** The ordered streams' blocks as ONE partition, each tagged with the
+    * index of its stream. */
+  private def gathered(blocks: List[RDD[Array[String]]]): RDD[(Int, Array[String])] = {
     val tagged = blocks.zipWithIndex.map { case (b, i) => b.map(Tag(i)) }
-    val one = if (tagged.isEmpty) sc.parallelize(Seq.empty[(Int, Array[String])], 1)
-              else sc.union(tagged).coalesce(1)
-    one.mapPartitions(Gather(streams.size, f))
+    if (tagged.isEmpty) sc.parallelize(Seq.empty[(Int, Array[String])], 1)
+    else sc.union(tagged).coalesce(1)
+  }
+
+  /** The key-range cut of a `sort -m` aggregate tree over `leaves` whose
+    * root feeds a `w`-way split. ONE parallel job caches the sorted leaves
+    * and returns [[SamplesPerWay]]`·w` evenly spaced lines of each; the
+    * driver picks `w - 1` splitters from them in `r`'s order. */
+  private def cut(leaves: List[RDD[String]], r: Resolved, w: Int): Cut = {
+    val blocks  = leaves.map(blocksOf(_, cache = true))
+    val samples = runJob(sc.union(blocks), blocks, Samples(SamplesPerWay * w))
+    Cut(gathered(blocks), leaves.size, Kernels.sortSplitters(r, samples.flatten.toSeq, w), r)
   }
 
   /** Evaluate a region. Each graph output comes back as the ordered RDDs to
@@ -112,6 +141,27 @@ final class SparkExec(spark: SparkSession, store: Store) {
     // n-ary merge (Kernels.aggN) over the tree's leaves; internal tree aggs
     // (and the relays wired between levels) are skipped.
     val aggTrees = g.aggTrees
+    // `sort -m` trees cut by key range, and the parts of `uniq` trees that
+    // read such a cut, each by the edge from its root to a split
+    val cuts = collection.mutable.Map.empty[Int, Cut]
+    val kept = collection.mutable.Map.empty[Int, Vector[RDD[String]]]
+
+    /** Whether a `uniq [-c]` tree over `leafEdges`, whose root feeds a
+      * `w`-way split, merges nothing: leaf i is a replica that reads range
+      * i of a `w`-way cut, so no line repeats across two leaves. */
+    def keepsParts(r: Resolved, leafEdges: Vector[Int], w: Int): Boolean =
+      (r.flags -- Set("-c")).isEmpty && r.vals.isEmpty && leafEdges.size == w &&
+        leafEdges.zipWithIndex.forall { case (e, i) =>
+          g.edges(e).from.map(g.nodes).exists {
+            case DNode(_, MapOp(_), Vector(in), _) =>
+              val read = g.edges(g.throughRelays(in))
+              read.from.map(g.nodes).exists {
+                case DNode(_, SplitOp(`w`), Vector(cutIn), outs) => cuts.contains(cutIn) && outs(i) == read.id
+                case _                                           => false
+              }
+            case _ => false
+          }
+        }
 
     g.topo.foreach { n =>
       val inEdges = n.ins.map(g.edges)
@@ -143,24 +193,40 @@ final class SparkExec(spark: SparkSession, store: Store) {
             case None => Vector(null) // folded into the tree root's n-ary merge
             case Some(leafEdges) =>
               val leaves = leafEdges.toList.map(e => edgeIn(g.edges(e)))
-              if (g.edges(n.outs.head).to.isEmpty) {
-                // a graph output: the driver merges the leaves it collects
-                merged(n.outs.head) = Output(leaves, AggKernel(key, r))
-                Vector(null)
-              } else {
-                // every map replica must be computed in the one parallel
-                // job: left to the merge task, they would run one by one
-                Vector(inOneTask(leaves, cacheAll = true)(AggKernel(key, r)))
+              val out    = n.outs.head
+              g.edges(out).to.map(g.nodes(_).op) match {
+                case None =>
+                  // a graph output: the driver merges the leaves it collects
+                  merged(out) = Output(leaves, AggKernel(key, r))
+                  Vector(null)
+                case Some(SplitOp(w)) if key == "sort-m" =>
+                  // the split's output i merges key range i of the leaves
+                  cuts(out) = cut(leaves, r, w)
+                  Vector(null)
+                case Some(SplitOp(w)) if (key == "uniq" || key == "uniq-c") && keepsParts(r, leafEdges, w) =>
+                  // the split's output i is leaf i
+                  kept(out) = leaves.toVector
+                  Vector(null)
+                case _ =>
+                  // every map replica must be computed in the one parallel
+                  // job: left to the merge task, they would run one by one
+                  Vector(inOneTask(leaves, cacheAll = true)(AggKernel(key, r)))
               }
           }
         case SplitOp(w) =>
-          // PaSh's split counts lines first. The input becomes ONE cached
-          // block, computed by the first consumer task to reach it (Spark's
-          // block lock makes the others wait); output i keeps its slice.
-          val in = streams.head
-          val one = if (in.getNumPartitions == 1) in else inOneTask(List(in), cacheAll = false)(OnlyStream)
-          val block = blocksOf(one, cache = true)
-          Vector.tabulate(w)(i => block.mapPartitions(Slice(i, w)))
+          val inEdge = n.ins.head
+          cuts.get(inEdge) match {
+            case Some(c) => Vector.tabulate(w)(i => c.blocks.mapPartitions(RangeMerge(c.streams, i, c.splitters, c.r)))
+            case None => kept.getOrElse(inEdge, {
+              // PaSh's split counts lines first. The input becomes ONE cached
+              // block, computed by the first consumer task to reach it (Spark's
+              // block lock makes the others wait); output i keeps its slice.
+              val in = streams.head
+              val one = if (in.getNumPartitions == 1) in else inOneTask(List(in), cacheAll = false)(OnlyStream)
+              val block = blocksOf(one, cache = true)
+              Vector.tabulate(w)(i => block.mapPartitions(Slice(i, w)))
+            })
+          }
         case CatOp =>
           Vector(streams match {
             case s :: Nil => s
@@ -222,4 +288,13 @@ object SparkExec {
     * `merge`. */
   private final case class Output(parts: List[RDD[String]],
                                   merge: List[Vector[String]] => Vector[String])
+
+  /** A `sort -m` tree cut by key: the cached, sorted `streams` leaves
+    * gathered as ONE partition of tagged blocks, and the splitters of
+    * their key ranges in `r`'s order. */
+  private final case class Cut(blocks: RDD[(Int, Array[String])], streams: Int,
+                               splitters: Vector[String], r: Resolved)
+
+  /** Sample lines per leaf for each way of a cut. */
+  private val SamplesPerWay = 8
 }

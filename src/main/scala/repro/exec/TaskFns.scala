@@ -1,5 +1,7 @@
 package repro.exec
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.TaskContext
 
 import repro.cmds.Kernels
@@ -35,6 +37,22 @@ private[exec] final case class Gather(n: Int, f: List[Vector[String]] => Vector[
     val buckets = Array.fill(n)(Vector.newBuilder[String])
     it.foreach { case (i, b) => buckets(i) ++= b }
     f(buckets.map(_.result()).toList).iterator
+  }
+}
+
+/** Output `i` of a `w`-way split of a `sort -m` aggregate of `n` sorted
+  * streams, from their tagged blocks in order: key range `i` of the
+  * streams, cut at `splitters` and merged ([[Kernels.sortMRange]]). */
+private[exec] final case class RangeMerge(n: Int, i: Int, splitters: Vector[String], r: Resolved)
+    extends (Iterator[(Int, Array[String])] => Iterator[String]) {
+  def apply(it: Iterator[(Int, Array[String])]): Iterator[String] = {
+    val blocks = Array.fill(n)(List.empty[Array[String]])
+    it.foreach { case (j, b) => blocks(j) = b :: blocks(j) }
+    val streams = blocks.toList.map {
+      case b :: Nil => ArraySeq.unsafeWrapArray(b)
+      case bs       => ArraySeq.unsafeWrapArray(bs.reverse.toArray.flatten)
+    }
+    Kernels.sortMRange(r, streams, splitters, i).iterator
   }
 }
 
@@ -84,6 +102,16 @@ private[exec] final case class Whole(f: List[Vector[String]] => Vector[String])
   * caching, them). */
 private[exec] case object BlockLines extends ((TaskContext, Iterator[Array[String]]) => Long) {
   def apply(tc: TaskContext, it: Iterator[Array[String]]): Long = it.map(_.length.toLong).sum
+}
+
+/** Job function: `m` evenly spaced lines of each of a partition's blocks
+  * (computing, and so caching, them); every line of a shorter block. */
+private[exec] final case class Samples(m: Int) extends ((TaskContext, Iterator[Array[String]]) => Array[String]) {
+  def apply(tc: TaskContext, it: Iterator[Array[String]]): Array[String] =
+    it.flatMap { b =>
+      if (b.length <= m) b.iterator
+      else Iterator.tabulate(m)(t => b(((2L * t + 1) * b.length / (2 * m)).toInt))
+    }.toArray
 }
 
 /** Job function: a partition's lines as one array, for the driver. */

@@ -436,6 +436,22 @@ class KernelsSpec extends AnyFunSuite {
       Kernels.aggN("sort-m", r, parts) == KernelsRef.sort(r)(parts.flatten.toVector)
     })
   }
+  test("property: the plain sort of a few distinct lines, run by run, equals today's comparator") {
+    check(Prop.forAll(Gen.someOf("-r", "-u"), genRepeats, genCuts) { (flags, in, cuts) =>
+      val r     = AnnotationLib.resolve("sort", flags.toList)
+      val parts = cutInto(in, cuts).map(whole(r, _))
+      whole(r, in) == KernelsRef.sort(r)(in) &&
+      Kernels.aggN("sort-m", r, parts) == KernelsRef.sort(r)(parts.flatten.toVector)
+    })
+  }
+  test("sort falls back to every line when the lines its sample skips are distinct") {
+    // the sample reads every fourth line, all `a`; the other lines are distinct
+    val in = Vector.tabulate(4096)(i => if (i % 4 == 0) "a" else s"l$i")
+    List(Nil, List("-u"), List("-r")).foreach { flags =>
+      val r = AnnotationLib.resolve("sort", flags)
+      assert(whole(r, in) == KernelsRef.sort(r)(in), flags)
+    }
+  }
 }
 
 object KernelsSpec {
@@ -470,6 +486,14 @@ object KernelsSpec {
   val genRuns: Gen[Vector[String]] =
     Gen.choose(0, 20).flatMap(Gen.listOfN(_, Gen.zip(genLine, Gen.choose(1, 3))))
       .map(_.toVector.flatMap { case (l, n) => Vector.fill(n)(l) })
+
+  /** Up to 1,200 lines drawn from 1–5 lines: far fewer distinct lines than
+    * a quarter of them, past the plain sort's sample of 1,024 at times. */
+  val genRepeats: Gen[Vector[String]] = for {
+    pool <- Gen.choose(1, 5).flatMap(Gen.listOfN(_, genLine))
+    n    <- Gen.choose(0, 1200)
+    ls   <- Gen.listOfN(n, Gen.oneOf(pool))
+  } yield ls.toVector
 
   val genCuts: Gen[List[Int]] = Gen.choose(0, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 60)))
 

@@ -133,6 +133,7 @@ class LawsSpec extends AnyFunSuite {
   checkStateless("cut", List("-c", "1-5"))
   checkStateless("sed", List("s/the/THE/"))
   checkStateless("sed", List("s/a/b/g"))
+  checkStateless("sed", List("s/ /\\n/g"))
   checkStateless("rev", Nil)
   checkStateless("fold", List("-w", "3"))
   checkStateless("gunzip", Nil)
@@ -238,6 +239,59 @@ class LawsSpec extends AnyFunSuite {
   checkNAry("tail", List("-n", "5"))
   checkNAry("tac", Nil)
   checkNAry("grep", List("-c", "the"))
+
+  // ---- the laws of the key-range cut (SparkExec's sorted exchange)
+
+  /** Up to 6 random lines, some in the stream and some not. */
+  private def candidates(seed: Long): Vector[String] =
+    Vector.tabulate((SynthText.mix(seed, -7) & 7).toInt.min(6))(i => randLine(seed * 31 + 5, i))
+
+  List(Nil, List("-r"), List("-n"), List("-rn"), List("-u"), List("-nu"),
+       List("-t", " ", "-k", "2")).foreach { args =>
+    test(s"key-range law: the sort-m ranges of any splitters concatenate to aggN: sort ${args.mkString(" ")}") {
+      val r = AnnotationLib.resolve("sort", args)
+      val f = Kernels.whole(r)(ctx)
+      var seed = 0L
+      forAllPartLists(sorted = false) { ps =>
+        seed += 1
+        val parts  = ps.map(p => f(List(p)))
+        val merged = Kernels.aggN("sort-m", r, parts)
+        def ranges(splitters: Vector[String]) =
+          (0 to splitters.size).flatMap(i => Kernels.sortMRange(r, parts, splitters, i)).toVector
+        // splitters in the command's own order, repeats included
+        val random = f(List(candidates(seed) ++ candidates(seed + 1000)))
+        assert(ranges(random) == merged, s"splitters $random")
+        // splitters picked from samples, as the executor picks them
+        val w = 1 + (SynthText.mix(seed, -9) % 6).toInt.abs
+        val picked = Kernels.sortSplitters(r, parts.flatten ++ candidates(seed), w)
+        assert(picked.size == (if (parts.flatten.isEmpty && candidates(seed).isEmpty) 0 else w - 1))
+        assert(ranges(picked) == merged, s"splitters $picked")
+      }
+      // no samples give no splitters: range 0 is everything
+      assert(Kernels.sortSplitters(r, Nil, 4).isEmpty)
+      val parts = List(f(List(randStream(3))), f(List(randStream(4))))
+      assert(Kernels.sortMRange(r, parts, Vector.empty, 0) == Kernels.aggN("sort-m", r, parts))
+      assert(Kernels.sortMRange(r, parts, Vector.empty, 1).isEmpty)
+    }
+  }
+
+  List("uniq" -> Nil, "uniq-c" -> List("-c")).foreach { case (key, args) =>
+    test(s"kept-parts law: aggN($key) of parts cut between runs is their concatenation") {
+      val r = AnnotationLib.resolve("uniq", args)
+      val f = Kernels.whole(r)(ctx)
+      (1 to 60).foreach { seed =>
+        val s = randStream(seed * 11L).sorted
+        // every point where a run of equal lines ends, chosen at random
+        val ends  = (0 to s.size).filter(i => i == 0 || i == s.size || s(i - 1) != s(i))
+        val k     = (SynthText.mix(seed, -3) % 5).toInt.abs
+        val cuts  = List.tabulate(k)(i => ends((SynthText.mix(seed, -4 - i) % ends.size).toInt.abs)).sorted
+        val bound = 0 :: cuts ::: List(s.size)
+        val parts = bound.zip(bound.tail).map { case (a, b) => f(List(s.slice(a, b))) }
+        assert(Kernels.aggN(key, r, parts) == parts.flatten)
+        assert(parts.flatten == f(List(s)))
+      }
+    }
+  }
 
   test("every aggregator in the annotation library has an n-ary law and is accepted by aggN") {
     val named = for {

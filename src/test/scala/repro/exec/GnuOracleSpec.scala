@@ -186,6 +186,8 @@ class GnuOracleSpec extends SparkSpec {
     ("sed 's/a/\\&/'", Vector("ab"), Vector("&b")),
     ("sed 's/a/\\\\/'", Vector("ab"), Vector("\\b")),
     ("sed 's/a/[&]$1/g'", Vector("aba"), Vector("[a]$1b[a]$1")),
+    ("sed 's/a/\\n/'", Vector("ab", "cad", "x"), Vector("", "b", "c", "d", "x")),
+    ("sed 's/ /\\t/g'", Vector("a b c", "d"), Vector("a\tb\tc", "d")),
     ("md5sum", Vector("ab", "\u00e9"), Vector("6d3fc03b5dbdbf8a15a9fbb9e0dbf7f5  -")),
     ("sha1sum", Vector("ab", "\u00e9"), Vector("7f5b7a5a8836958600dc011a90f0187a28912ec6  -")),
     ("sha256sum", Vector("ab", "\u00e9"),

@@ -112,6 +112,31 @@ class SparkExecSpec extends SparkSpec {
     check(Scripts.topN, List(3, 7), setup = Some(_.add("in.txt", 0, SynthText.textLine(13))))
   }
 
+  // a `sort -m` tree that feeds a split is cut by key range: runs of equal
+  // lines longer than a range, fewer distinct lines than ranges, key ties
+  // under -u, and a uniq whose parts cannot be kept (`cut` makes lines equal)
+  private def lines(name: String, script: String, in: Vector[String]): (ScriptBench, Store => Unit) =
+    (ScriptBench(name, script, "", Map.empty, setup = (_, _) => ()), _.addLines("in.txt", in))
+
+  private val wfShape = "cat in.txt | sort | uniq -c | sort -rn"
+  List(
+    lines("one line over n/W times", wfShape,
+      Vector.tabulate(50)(i => if (i % 5 == 0) s"k$i" else "m")),
+    lines("every line equal", wfShape, Vector.fill(30)("same")),
+    lines("every line equal, sort -u", "cat in.txt | sort -u | sort -r", Vector.fill(30)("same")),
+    lines("W over the distinct lines", wfShape, Vector.tabulate(20)(i => if (i % 2 == 0) "b" else "a")),
+    lines("sort -nu over key-equal lines", "cat in.txt | sort -nu | sort -r",
+      Vector.tabulate(60)(i => s"${i % 13} line$i")),
+    lines("cut after the cut, uniq -c output", "cat in.txt | sort | cut -c 1 | uniq -c",
+      Vector.tabulate(60)(i => s"${('a' + i % 3).toChar}$i")),
+    lines("cut after the cut, uniq -c split", "cat in.txt | sort | cut -c 1 | uniq -c | sort -rn",
+      Vector.tabulate(60)(i => s"${('a' + i % 3).toChar}$i")),
+  ).foreach { case (b, setup) =>
+    test(s"spark key-range cut, ${b.name}: parallel == sequential == reference at widths 3, 7") {
+      check(b, List(3, 7), setup = Some(setup))
+    }
+  }
+
   // sort-sort's first job caches the leaves of its first aggregate tree
   test("a region that fails mid-job leaves no cached RDDs behind") {
     val s = new Store(spark.sparkContext)
@@ -122,9 +147,9 @@ class SparkExecSpec extends SparkSpec {
     assert(spark.sparkContext.getPersistentRDDs.isEmpty)
   }
 
-  test("width 4 runs one Spark job per aggregate tree, plus one to collect any other output") {
-    List("sort" -> 1, "sort-sort" -> 2, "wf" -> 3, "top-n" -> 4, "spell" -> 2,
-         "unix50-20" -> 3, "nfa-regex" -> 1, "unix50-01" -> 1).foreach { case (name, n) =>
+  test("width 4 jobs: one per sort -m cut or merged tree, one to collect") {
+    List("sort" -> 1, "sort-sort" -> 2, "wf" -> 2, "top-n" -> 3, "spell" -> 2,
+         "unix50-20" -> 2, "nfa-regex" -> 1, "unix50-01" -> 1).foreach { case (name, n) =>
       val b = Scripts.all.find(_.name == name).get
       val regions = Frontend.compile(b.script).regions.map(Transform.parallelize(_, PashConfig(4)))
       val (_, jobs) = withJobs(new SparkExec(spark, freshStore(b, 2)).runProgram(regions))
